@@ -73,7 +73,6 @@ def run_single(
     window_s: float | None = None,
     observe: bool = False,
     faults: "FaultPlan | None" = None,
-    engine: str = "scalar",
 ) -> SimulationResult:
     """One scheme on one trace (fresh simulation per call).
 
@@ -81,12 +80,8 @@ def run_single(
     (:mod:`repro.obs`) into ``result.events``; metrics are identical
     either way. ``faults`` injects a declarative fault plan
     (:mod:`repro.faults`); None or an empty plan changes nothing.
-    ``engine`` picks the simulation core (``"scalar"``/``"batch"``);
-    results are byte-identical either way.
     """
-    from repro.analysis.parallel import simulation_class
-
-    sim = simulation_class(engine)(
+    sim = ArraySimulation(
         trace=trace,
         array_config=array_config,
         policy=policy,
@@ -104,7 +99,6 @@ def derive_goal(
     slack: float = 1.5,
     observe: bool = False,
     faults: "FaultPlan | None" = None,
-    engine: str = "scalar",
 ) -> tuple[float, SimulationResult]:
     """Run Base and derive the response-time goal from its mean.
 
@@ -117,7 +111,7 @@ def derive_goal(
     if slack < 1.0:
         raise ValueError(f"slack below 1.0 is unmeetable by definition, got {slack!r}")
     base = run_single(trace, array_config, AlwaysOnPolicy(), observe=observe,
-                      faults=faults, engine=engine)
+                      faults=faults)
     if base.mean_response_s <= 0:
         raise ValueError("Base run produced no requests; cannot derive a goal")
     return slack * base.mean_response_s, base
@@ -243,7 +237,6 @@ def run_comparison(
     cache: ResultCache | None = None,
     observe: bool = False,
     faults: "FaultPlan | None" = None,
-    engine: str = "scalar",
 ) -> ComparisonResult:
     """Full paper-style comparison on one trace.
 
@@ -262,15 +255,14 @@ def run_comparison(
     """
     if jobs == 1 and cache is None:
         goal_s, base_result = derive_goal(trace, array_config, slack, observe=observe,
-                                          faults=faults, engine=engine)
+                                          faults=faults)
         comparison = ComparisonResult(goal_s=goal_s, slack=slack)
         comparison.results["Base"] = base_result
         if schemes is None:
             schemes = standard_policies(trace, array_config, hibernator_config)
         for policy, config in schemes:
             result = run_single(trace, config, policy, goal_s=goal_s,
-                                window_s=window_s, observe=observe, faults=faults,
-                                engine=engine)
+                                window_s=window_s, observe=observe, faults=faults)
             comparison.results[result.policy_name] = result
         return comparison
 
@@ -281,7 +273,7 @@ def run_comparison(
     trace_spec = TraceSpec.from_trace(trace)
     base_result = execute_one(
         RunSpec(trace=trace_spec, array=array_config, policy=PolicySpec.named("base"),
-                observe=observe, faults=faults, engine=engine),
+                observe=observe, faults=faults),
         cache=cache,
     )
     if base_result.mean_response_s <= 0:
@@ -300,7 +292,6 @@ def run_comparison(
             window_s=window_s,
             observe=observe,
             faults=faults,
-            engine=engine,
         )
         for policy, config in schemes
     ]

@@ -277,13 +277,6 @@ class RunSpec:
     ``faults`` carries the declarative fault plan (frozen dataclasses,
     picklable, canonicalized into the cache key field by field). None
     and an empty plan both mean a fault-free run.
-
-    ``engine`` selects the simulation core: ``"scalar"`` (the event-loop
-    :class:`~repro.sim.runner.ArraySimulation`) or ``"batch"``
-    (:class:`~repro.sim.batch.BatchArraySimulation`, epoch-batched with
-    byte-identical results). It is part of the cache key on purpose —
-    results are identical by contract, but a cached entry must always be
-    attributable to the backend that produced it.
     """
 
     trace: TraceSpec
@@ -294,31 +287,15 @@ class RunSpec:
     keep_latency_samples: bool = True
     observe: bool = False
     faults: FaultPlan | None = None
-    engine: str = "scalar"
-
-
-#: Valid :attr:`RunSpec.engine` values.
-ENGINE_NAMES: tuple[str, ...] = ("scalar", "batch")
-
-
-def simulation_class(engine: str) -> type:
-    """Resolve an engine name to its simulation class."""
-    from repro.sim.runner import ArraySimulation
-
-    if engine == "scalar":
-        return ArraySimulation
-    if engine == "batch":
-        from repro.sim.batch import BatchArraySimulation
-
-        return BatchArraySimulation
-    raise ValueError(f"unknown engine {engine!r}; known: {list(ENGINE_NAMES)}")
 
 
 def run_spec(spec: RunSpec) -> "SimulationResult":
     """Execute one spec from scratch (the worker entry point)."""
+    from repro.sim.runner import ArraySimulation
+
     trace = spec.trace.build()
     policy, array_config = spec.policy.build(trace, spec.array)
-    sim = simulation_class(spec.engine)(
+    sim = ArraySimulation(
         trace=trace,
         array_config=array_config,
         policy=policy,

@@ -384,13 +384,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     base = None
     goal = None
     if args.policy != "base" and args.slack is not None:
-        base = run_single(trace, config, AlwaysOnPolicy(), faults=faults,
-                          engine=args.engine)
+        base = run_single(trace, config, AlwaysOnPolicy(), faults=faults)
         goal = args.slack * base.mean_response_s
     policy, policy_config = _build_policy(args.policy, args, trace, config)
     result = run_single(trace, policy_config, policy, goal_s=goal,
-                        observe=bool(args.trace_out), faults=faults,
-                        engine=args.engine)
+                        observe=bool(args.trace_out), faults=faults)
     if args.trace_out:
         _write_trace_out(result.events, args.trace_out)
     if args.json:
@@ -412,7 +410,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         hibernator_config=HibernatorConfig(epoch_seconds=args.epoch,
                                            migration=args.migration),
         jobs=args.jobs, cache=cache, observe=bool(args.trace_out),
-        faults=_load_faults(args), engine=args.engine,
+        faults=_load_faults(args),
     )
     if args.trace_out:
         _write_trace_out(comparison.all_events(), args.trace_out)
@@ -531,7 +529,6 @@ def _build_fleet(args: argparse.Namespace, policy_name: str):
         observe=bool(getattr(args, "trace_out", None)),
         faults=faults,
         seed=args.fleet_seed,
-        engine=getattr(args, "engine", "scalar"),
     )
 
 
@@ -830,9 +827,8 @@ def cmd_perf(args: argparse.Namespace) -> int:
         return 0
 
     print(f"== repro perf: {len(scenarios)} scenario(s), "
-          f"best of {args.repeats} repeat(s), engine={args.engine} ==")
-    doc = run_benchmark(scenarios, repeats=args.repeats, log=print,
-                        engine=args.engine)
+          f"best of {args.repeats} repeat(s) ==")
+    doc = run_benchmark(scenarios, repeats=args.repeats, log=print)
 
     root = resolve_repo_root(Path.cwd())
     if args.out:
@@ -846,7 +842,7 @@ def cmd_perf(args: argparse.Namespace) -> int:
     if args.baseline:
         baseline_path: Path | None = Path(args.baseline)
     else:
-        baseline_path = find_baseline(root, exclude=out, engine=args.engine)
+        baseline_path = find_baseline(root, exclude=out)
     if baseline_path is None:
         print("no committed BENCH_*.json baseline found; nothing to compare")
         return 0
@@ -914,9 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--no-prime", dest="prime", action="store_false",
                    help="skip heat priming (start with an observation epoch)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
-                   help="simulation core: scalar event loop or the batched "
-                        "core (byte-identical results, faster replay)")
     _add_faults_option(p)
     _add_trace_out(p)
     p.set_defaults(func=cmd_run, prime=True)
@@ -930,9 +923,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="shuffle")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--csv", help="write per-scheme CSV to this path")
-    p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
-                   help="simulation core: scalar event loop or the batched "
-                        "core (byte-identical results, faster replay)")
     _add_faults_option(p)
     _add_parallel_options(p)
     _add_trace_out(p)
@@ -986,10 +976,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="JSON fleet fault plan (see docs/fleet.md): "
                              "common faults, per-array plans, correlated "
                              "batch failures")
-        fp.add_argument("--engine", choices=("scalar", "batch"),
-                        default="scalar",
-                        help="per-array simulation core (byte-identical "
-                             "results, faster replay)")
         _add_parallel_options(fp)
         _add_trace_out(fp)
 
@@ -1225,10 +1211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--write-golden", metavar="PATH",
                    help="run the golden scenarios and write their result "
                         "digests to PATH (regenerates the identity pins)")
-    p.add_argument("--engine", choices=("scalar", "batch"), default="scalar",
-                   help="simulation core to benchmark; the BENCH document "
-                        "records it and baselines only match within the "
-                        "same engine")
     p.add_argument("--list", action="store_true",
                    help="list the selected scenarios and exit")
     p.set_defaults(func=cmd_perf)

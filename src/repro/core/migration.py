@@ -146,8 +146,13 @@ class MigrationExecutor:
         plan: MigrationPlan,
         on_done: Callable[["MigrationExecutor"], None] | None = None,
     ) -> None:
-        """Begin executing ``plan``; ``on_done`` fires when it drains."""
-        if self.active:
+        """Begin executing ``plan``; ``on_done`` fires when it drains.
+
+        Only a plan with moves still to issue blocks a new one. Copies in
+        flight from a cancelled plan finish normally and keep counting
+        against ``max_inflight``.
+        """
+        if self._pending or self._deferred:
             raise RuntimeError("executor already running a plan")
         self._pending = deque(plan.moves)
         self._deferred = []

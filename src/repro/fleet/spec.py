@@ -79,8 +79,6 @@ class FleetSpec:
         faults: declarative fleet fault plan; None or an empty plan is
             byte-identical to a fault-free fleet.
         seed: fleet seed; spawns the per-array streams.
-        engine: simulation core for every array shard (``"scalar"`` or
-            ``"batch"``); results are byte-identical either way.
     """
 
     num_arrays: int
@@ -94,15 +92,8 @@ class FleetSpec:
     observe: bool = False
     faults: FleetFaultPlan | None = None
     seed: int = 0
-    engine: str = "scalar"
 
     def __post_init__(self) -> None:
-        from repro.analysis.parallel import ENGINE_NAMES
-
-        if self.engine not in ENGINE_NAMES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; known: {list(ENGINE_NAMES)}"
-            )
         if self.num_arrays < 1:
             raise ValueError(f"num_arrays must be >= 1, got {self.num_arrays!r}")
         if self.partitioner not in PARTITIONER_NAMES:
@@ -148,7 +139,6 @@ class FleetSpec:
                 keep_latency_samples=self.keep_latency_samples,
                 observe=self.observe,
                 faults=plans[i],
-                engine=self.engine,
             )
             for i in range(self.num_arrays)
         ]

@@ -81,9 +81,7 @@ def _measure(spec: Any) -> tuple[Any, str, int, int, float]:
     )
 
 
-def _run_one(
-    scenario: PerfScenario, repeats: int, engine: str = "scalar"
-) -> tuple[dict[str, Any], int]:
+def _run_one(scenario: PerfScenario, repeats: int) -> tuple[dict[str, Any], int]:
     """Run ``scenario`` ``repeats`` times; record best wall time.
 
     Returns ``(record, distinct_digests)``. The digest count is the
@@ -98,7 +96,7 @@ def _run_one(
     events = requests = 0
     for _ in range(repeats):
         # Fresh spec per repeat: policies are stateful.
-        spec = scenario.spec(engine)
+        spec = scenario.spec()
         _, digest, events, requests, wall = _measure(spec)
         best_wall = min(best_wall, wall)
         digests.add(digest)
@@ -117,7 +115,6 @@ def run_benchmark(
     scenarios: tuple[PerfScenario, ...],
     repeats: int = 3,
     log: Callable[[str], None] | None = None,
-    engine: str = "scalar",
 ) -> dict[str, Any]:
     """Run the scenarios and build a BENCH document.
 
@@ -130,7 +127,7 @@ def run_benchmark(
     records: dict[str, Any] = {}
     nondeterministic: list[str] = []
     for scenario in scenarios:
-        record, distinct = _run_one(scenario, repeats, engine)
+        record, distinct = _run_one(scenario, repeats)
         records[scenario.name] = record
         if distinct != 1:
             nondeterministic.append(scenario.name)
@@ -154,7 +151,6 @@ def run_benchmark(
         "generated_at": datetime.now(timezone.utc).isoformat(timespec="seconds"),
         "code_version": CODE_VERSION,
         "digest_version": DIGEST_VERSION,
-        "engine": engine,
         "environment": {
             "python": sys.version.split()[0],
             "platform": platform.platform(),
@@ -183,15 +179,11 @@ def load_bench(path: str | Path) -> dict[str, Any]:
 def find_baseline(
     root: str | Path | None = None,
     exclude: str | Path | None = None,
-    engine: str | None = None,
 ) -> Path | None:
     """Newest committed BENCH file by ``generated_at``; None if none.
 
     ``exclude`` is the output path of the current run, so a rerun never
-    compares against itself. ``engine`` restricts the search to BENCH
-    documents produced by that backend (documents predating the field
-    count as ``"scalar"``), so a committed batch-engine report never
-    becomes the throughput baseline for a scalar run or vice versa.
+    compares against itself.
 
     Ties on ``generated_at`` (two files generated in the same second, or
     a copied document) are broken by file name, lexicographically last —
@@ -207,8 +199,6 @@ def find_baseline(
         try:
             doc = load_bench(path)
         except (ValueError, OSError, json.JSONDecodeError):
-            continue
-        if engine is not None and str(doc.get("engine", "scalar")) != engine:
             continue
         stamp = str(doc.get("generated_at", ""))
         if best is None or (stamp, path.name) > (best[0], best[1]):
@@ -234,11 +224,10 @@ def compare_benchmarks(
 
     Result digests are compared per scenario. A digest mismatch is a
     regression only when both documents carry the same ``code_version``
-    and the same ``engine`` — then identical behaviour was promised and
-    broke. Across code versions (or engines, or when either document
-    predates the field) results may legitimately differ, so the mismatch
-    is reported as an informational drift line instead of failing the
-    gate.
+    — then identical behaviour was promised and broke. Across code
+    versions (or when either document predates the field) results may
+    legitimately differ, so the mismatch is reported as an informational
+    drift line instead of failing the gate.
     """
     if not 0.0 < threshold:
         raise ValueError(f"threshold must be positive, got {threshold!r}")
@@ -248,24 +237,12 @@ def compare_benchmarks(
     base = baseline["scenarios"]
     cur_version = current.get("code_version")
     base_version = baseline.get("code_version")
-    cur_engine = str(current.get("engine", "scalar"))
-    base_engine = str(baseline.get("engine", "scalar"))
-    digests_gate = (
-        cur_version is not None
-        and cur_version == base_version
-        and cur_engine == base_engine
-    )
+    digests_gate = cur_version is not None and cur_version == base_version
     if (cur_version or base_version) and cur_version != base_version:
         lines.append(
             f"  (code_version drift: baseline {base_version or '<unversioned>'}"
             f" -> current {cur_version or '<unversioned>'}; digest "
             "mismatches reported as warnings, not regressions)"
-        )
-    if cur_engine != base_engine:
-        lines.append(
-            f"  (engine drift: baseline {base_engine} -> current "
-            f"{cur_engine}; digest mismatches reported as warnings, "
-            "not regressions)"
         )
     added = sorted(set(cur) - set(base))
     removed = sorted(set(base) - set(cur))
@@ -289,7 +266,7 @@ def compare_benchmarks(
             if digests_gate:
                 if name not in regressions:
                     regressions.append(name)
-                marker += "  DIGEST MISMATCH (same code_version/engine)"
+                marker += "  DIGEST MISMATCH (same code_version)"
             else:
                 marker += "  digest drift (informational)"
         lines.append(

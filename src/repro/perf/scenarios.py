@@ -201,7 +201,7 @@ def _fleet_faults() -> FleetFaultPlan:
     )
 
 
-def _fleet_spec(engine: str = "scalar") -> FleetSpec:
+def _fleet_spec() -> FleetSpec:
     return FleetSpec(
         num_arrays=FLEET_ARRAYS,
         trace=_fleet_trace(FLEET_ARRAYS, duration=120.0, rate=200.0),
@@ -210,7 +210,6 @@ def _fleet_spec(engine: str = "scalar") -> FleetSpec:
         partitioner="block",
         goal_s=GOAL_S,
         faults=_fleet_faults(),
-        engine=engine,
     )
 
 
@@ -238,10 +237,10 @@ class PerfScenario:
     quick: bool = False
     fleet: bool = False
 
-    def spec(self, engine: str = "scalar") -> RunSpec | FleetSpec:
+    def spec(self) -> RunSpec | FleetSpec:
         """A fresh, fully self-contained run recipe for this scenario."""
         if self.fleet:
-            return _fleet_spec(engine)
+            return _fleet_spec()
         if self.policy == "base":
             policy = PolicySpec.named("base")
             goal = None
@@ -254,7 +253,6 @@ class PerfScenario:
             policy=policy,
             goal_s=goal,
             faults=_FAULTS[self.trace]() if self.faults else None,
-            engine=engine,
         )
 
 

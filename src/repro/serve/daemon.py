@@ -50,6 +50,11 @@ _REPLAY_CHUNK = 4096
 #: Selector timeout when the daemon has nothing urgent to do.
 _IDLE_POLL_S = 0.05
 
+#: Longest line a client may send. A longer one, complete or not, gets a
+#: protocol error and the connection is closed, so a client that never
+#: sends a newline cannot grow the daemon's memory without bound.
+MAX_LINE_BYTES = 1 << 20
+
 
 class _LineConn:
     """One accepted connection with line-buffered reads."""
@@ -61,7 +66,11 @@ class _LineConn:
         self.buffer = b""
 
     def read_lines(self) -> list[bytes] | None:
-        """Drain readable bytes; returns complete lines, or None on EOF."""
+        """Drain readable bytes; returns complete lines, or None on EOF.
+
+        Raises :class:`~repro.serve.protocol.ProtocolError` once a line
+        grows past :data:`MAX_LINE_BYTES`.
+        """
         try:
             chunk = self.sock.recv(65536)
         except (BlockingIOError, InterruptedError):
@@ -70,17 +79,19 @@ class _LineConn:
             return None
         if not chunk:
             return None
-        self.buffer += chunk
-        if b"\n" not in self.buffer:
-            return []
-        *lines, self.buffer = self.buffer.split(b"\n")
+        *lines, self.buffer = (self.buffer + chunk).split(b"\n")
+        if len(self.buffer) > MAX_LINE_BYTES or any(len(line) > MAX_LINE_BYTES for line in lines):
+            raise protocol.ProtocolError(f"line longer than {MAX_LINE_BYTES} bytes")
         return lines
 
-    def send(self, payload: bytes) -> None:
+    def send(self, payload: bytes) -> bool:
+        """Write one reply; False when the peer is gone or not reading
+        fast enough for the non-blocking socket."""
         try:
             self.sock.sendall(payload)
         except OSError:
-            pass  # client went away; its problem, not the run's
+            return False
+        return True
 
 
 class ServeDaemon:
@@ -264,7 +275,12 @@ class ServeDaemon:
         sock.close()
 
     def _service(self, sock: socket.socket, role: str, conn: _LineConn) -> None:
-        lines = conn.read_lines()
+        try:
+            lines = conn.read_lines()
+        except protocol.ProtocolError as exc:
+            conn.send(protocol.encode_line(protocol.error_response(str(exc))))
+            self._drop(sock)
+            return
         if lines is None:
             self._drop(sock)
             return
@@ -272,9 +288,14 @@ class ServeDaemon:
             if not line.strip():
                 continue
             if role == "control":
-                conn.send(protocol.encode_line(self._dispatch(line)))
+                reply = self._dispatch(line)
             else:
-                conn.send(protocol.encode_line(self._ingest_line(line)))
+                reply = self._ingest_line(line)
+            if not conn.send(protocol.encode_line(reply)):
+                # A reply that cannot be written is never silently lost:
+                # closing makes the client see EOF instead of a gap.
+                self._drop(sock)
+                return
             if self._shutdown:
                 break
 

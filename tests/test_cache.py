@@ -155,7 +155,6 @@ _RUN_PERTURB = {
     "keep_latency_samples": lambda v: not v,
     "observe": lambda v: not v,
     "faults": lambda v: _fault_plan(),
-    "engine": lambda v: "batch",
 }
 
 
@@ -276,7 +275,6 @@ _FLEET_PERTURB = {
     "observe": lambda spec: dataclasses.replace(spec, observe=not spec.observe),
     "faults": lambda spec: dataclasses.replace(spec, faults=_fleet_fault_plan()),
     "seed": lambda spec: dataclasses.replace(spec, seed=spec.seed + 1),
-    "engine": lambda spec: dataclasses.replace(spec, engine="batch"),
 }
 
 

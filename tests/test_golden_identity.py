@@ -25,6 +25,8 @@ from repro.fleet.executor import run_fleet
 from repro.fleet.spec import FleetSpec
 from repro.perf.digest import DIGEST_VERSION, fleet_result_digest, result_digest
 from repro.perf.scenarios import golden_specs
+from repro.serve.daemon import run_replay_quiet
+from repro.sim.runner import ArraySimulation
 
 GOLDEN_PATH = Path(__file__).parent / "golden" / "golden_results.json"
 
@@ -72,6 +74,31 @@ def test_golden_results_are_byte_identical_parallel(pinned):
     for name, result in zip(names, results):
         assert result_digest(result) == pinned["digests"][name], (
             f"{name}: parallel execution produced different bytes"
+        )
+
+
+def test_golden_results_are_byte_identical_through_serve(pinned, tmp_path):
+    """``repro serve --accel 0`` must reproduce every single-array pin:
+    each spec is built the way ``run_spec`` builds it, then replayed
+    through the daemon."""
+    specs = golden_specs()
+    for name in sorted(n for n in specs if not isinstance(specs[n], FleetSpec)):
+        spec = specs[name]
+        trace = spec.trace.build()
+        policy, array_config = spec.policy.build(trace, spec.array)
+        sim = ArraySimulation(
+            trace=trace,
+            array_config=array_config,
+            policy=policy,
+            goal_s=spec.goal_s,
+            window_s=spec.window_s,
+            keep_latency_samples=spec.keep_latency_samples,
+            observe=spec.observe,
+            faults=spec.faults,
+        )
+        served = run_replay_quiet(sim, tmp_path / "ctl.sock")
+        assert result_digest(served) == pinned["digests"][name], (
+            f"{name}: serve replay produced different bytes"
         )
 
 

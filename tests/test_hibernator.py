@@ -216,6 +216,23 @@ def test_migration_shuffle_moves_less_than_sorted(small_config):
     assert moved("shuffle") <= moved("sorted")
 
 
+def test_short_epochs_restart_migration_mid_copy():
+    """With 5 s epochs on a 16-disk array, a boundary re-plans migration
+    while copies of the last plan are still in flight. The run must
+    finish with every request served."""
+    from repro.analysis.experiments import default_array_config
+    from repro.traces.oltp import OltpConfig, generate_oltp
+
+    trace = generate_oltp(OltpConfig(duration=40.0, rate=200.0, num_extents=1600, seed=71))
+    config = default_array_config(num_disks=16, num_extents=1600)
+    _, policy, result = run_hibernator(
+        trace, config, HibernatorConfig(epoch_seconds=5.0), goal=0.008,
+    )
+    assert result.num_requests == len(trace)
+    assert result.failed_requests == 0
+    assert len(policy.epochs) > 2 and result.migration_extents > 0
+
+
 def test_deterministic_runs(small_config):
     trace = poisson_trace(rate=25.0, duration=300.0, seed=26)
 

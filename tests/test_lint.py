@@ -301,9 +301,8 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """This PR adds the batch execution core and fixes the engine's
-    fire-then-cancel live accounting. Batch results are digest-identical
-    by construction (the golden pins and the cross-engine tests prove
-    it), but the semantics-bearing modules changed, so the guard demands
-    a bump."""
-    assert CODE_VERSION == "2026.08-7"
+    """The batch execution core was deleted from ``repro.sim`` and the
+    migration executor may now start a plan while copies of the last
+    one are still in flight. Every golden digest is unchanged, but the
+    semantics-bearing modules changed, so the guard demands a bump."""
+    assert CODE_VERSION == "2026.08-8"

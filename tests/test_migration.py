@@ -205,6 +205,49 @@ class TestExecutor:
         with pytest.raises(RuntimeError):
             executor.start(plan)
 
+    def test_restart_with_copies_in_flight(self, engine, skewed_heat, rng):
+        """An epoch boundary cancels the running plan and starts the next
+        one while copies of the first are still in flight: the new plan
+        starts, the old copies finish, and the in-flight bound holds
+        across both plans."""
+        array, layout = build(engine, skewed_heat)
+        plan = plan_shuffle_migration(array, layout, hottest(skewed_heat), rng)
+        assert plan.num_moves >= 6
+        old, new = MigrationPlan(plan.moves[:4]), MigrationPlan(plan.moves[4:])
+        inflight, peak = [0], [0]
+        issue = array.migrate_extent
+
+        def counted(extent, target, on_complete):
+            def done(moved):
+                inflight[0] -= 1
+                on_complete(moved)
+
+            issued = issue(extent, target, done)
+            if issued:
+                inflight[0] += 1
+                peak[0] = max(peak[0], inflight[0])
+            return issued
+
+        array.migrate_extent = counted
+        executor = MigrationExecutor(array, max_inflight=2)
+        executor.start(old)
+        assert inflight[0] == 2
+        executor.cancel()
+        executor.start(new)  # must not raise
+        assert inflight[0] == 2
+        engine.run()
+        assert peak[0] == 2 and inflight[0] == 0
+        assert not executor.active
+        # The two old copies landed and were counted once each; the two
+        # cancelled moves never ran.
+        assert array.migration_extents_moved == 2 + new.num_moves
+        assert executor.completed == 2 + new.num_moves
+        for extent, target in old.moves[:2] + new.moves:
+            assert array.extent_map.disk_of(extent) == target
+        for extent, target in old.moves[2:]:
+            assert array.extent_map.disk_of(extent) != target
+        array.extent_map.check_invariants()
+
     def test_empty_plan_completes_immediately(self, engine, skewed_heat):
         array, layout = build(engine, skewed_heat)
         done = []

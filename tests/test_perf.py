@@ -166,18 +166,6 @@ class TestCompare:
         assert "digest drift (informational)" in text
         assert "DIGEST MISMATCH" not in text
 
-    def test_digest_mismatch_across_engines_is_informational(self):
-        current = _bench_doc(a=100.0)
-        baseline = _bench_doc(a=100.0)
-        current["code_version"] = baseline["code_version"] = "v1"
-        current["engine"] = "batch"
-        baseline["scenarios"]["a"]["digest"] = "something-else"
-        lines, regressions = compare_benchmarks(current, baseline)
-        assert regressions == []
-        text = "\n".join(lines)
-        assert "engine drift: baseline scalar -> current batch" in text
-        assert "digest drift (informational)" in text
-
     def test_unversioned_documents_never_gate_on_digests(self):
         """Documents predating code_version made no identity promise."""
         current = _bench_doc(a=100.0)
@@ -243,24 +231,6 @@ class TestBenchFiles:
         write_bench(doc, other / f"{BENCH_PREFIX}aaa.json")
         assert find_baseline(other) == other / f"{BENCH_PREFIX}zzz.json"
 
-    def test_find_baseline_filters_on_engine(self, tmp_path):
-        """A batch-engine BENCH file must never become the baseline for
-        a scalar run (and vice versa); documents predating the field
-        count as scalar."""
-        legacy = _bench_doc(a=1.0)  # no "engine" key -> scalar
-        legacy["generated_at"] = "2026-08-01T00:00:00+00:00"
-        batch = _bench_doc(a=9.0)
-        batch["engine"] = "batch"
-        batch["generated_at"] = "2026-08-04T00:00:00+00:00"
-        write_bench(legacy, tmp_path / f"{BENCH_PREFIX}legacy.json")
-        write_bench(batch, tmp_path / f"{BENCH_PREFIX}batch.json")
-        assert (find_baseline(tmp_path, engine="scalar")
-                == tmp_path / f"{BENCH_PREFIX}legacy.json")
-        assert (find_baseline(tmp_path, engine="batch")
-                == tmp_path / f"{BENCH_PREFIX}batch.json")
-        # Unfiltered search keeps the old newest-stamp behaviour.
-        assert find_baseline(tmp_path) == tmp_path / f"{BENCH_PREFIX}batch.json"
-
     def test_find_baseline_newer_stamp_beats_filename(self, tmp_path):
         older = _bench_doc(a=1.0)
         older["generated_at"] = "2026-08-01T00:00:00+00:00"
@@ -320,7 +290,7 @@ class TestRunBenchmark:
             name: str
             flaky: bool
 
-            def spec(self, engine="scalar"):
+            def spec(self):
                 real = golden_specs()["golden-nosamples"]
                 if not self.flaky:
                     return real

@@ -12,7 +12,7 @@ import repro
 MODULES = [
     "repro",
     "repro.sim", "repro.sim.engine", "repro.sim.request", "repro.sim.stats",
-    "repro.sim.runner", "repro.sim.batch",
+    "repro.sim.runner",
     "repro.disks", "repro.disks.specs", "repro.disks.mechanics",
     "repro.disks.power", "repro.disks.scheduling", "repro.disks.disk",
     "repro.disks.mapping", "repro.disks.array", "repro.disks.raid",

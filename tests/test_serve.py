@@ -19,7 +19,9 @@ The contracts pinned here:
 from __future__ import annotations
 
 import json
+import socket
 import threading
+import time
 
 import pytest
 
@@ -30,7 +32,7 @@ from repro.perf.digest import result_digest
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient
-from repro.serve.daemon import ServeDaemon, run_replay_quiet
+from repro.serve.daemon import MAX_LINE_BYTES, ServeDaemon, run_replay_quiet
 from repro.sim.request import IoKind
 from repro.sim.runner import ArraySimulation
 from repro.traces.model import TraceBuilder
@@ -215,6 +217,63 @@ class TestControlProtocol:
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
                 with pytest.raises(protocol.ProtocolError, match="injects nothing"):
                     client.inject_fault({"seed": 1})
+                client.shutdown()
+
+
+def _lines_until_eof(sock: socket.socket, want: int) -> tuple[list[bytes], bool]:
+    """Complete lines read until ``want`` arrive or the daemon closes.
+
+    Returns (lines, closed). A connection left open with lines missing
+    hits the socket timeout and fails the calling test.
+    """
+    data = b""
+    while data.count(b"\n") < want:
+        try:
+            chunk = sock.recv(65536)
+        except ConnectionResetError:
+            chunk = b""
+        if not chunk:
+            return data.split(b"\n")[:-1], True
+        data += chunk
+    return data.split(b"\n")[:-1], False
+
+
+def _raw_connection(path) -> socket.socket:
+    sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    sock.settimeout(10.0)
+    sock.connect(str(path))
+    return sock
+
+
+class TestMisbehavingClients:
+    def test_overlong_line_gets_one_error_then_eof(self, small_config, tmp_path):
+        sim, daemon = serving(small_config, tmp_path)
+        with ServeThread(daemon):
+            with ServeClient.connect(tmp_path / "ctl.sock") as other:
+                with _raw_connection(tmp_path / "ctl.sock") as sock:
+                    sock.sendall(b"x" * (MAX_LINE_BYTES + 1))  # no newline, ever
+                    lines, closed = _lines_until_eof(sock, want=2)
+                assert closed and len(lines) == 1
+                reply = protocol.decode_line(lines[0])
+                assert reply["ok"] is False and "longer than" in reply["error"]
+                # The daemon keeps serving everyone else.
+                assert other.ping()["pong"] is True
+                other.shutdown()
+
+    def test_pipelined_client_gets_every_reply_or_eof(self, small_config, tmp_path):
+        """400 requests sent before reading overflow the socket buffer;
+        the replies that do not fit must end in EOF, not vanish."""
+        sim, daemon = serving(small_config, tmp_path)
+        with ServeThread(daemon):
+            with ServeClient.connect(tmp_path / "ctl.sock") as client:
+                with _raw_connection(tmp_path / "ctl.sock") as sock:
+                    sock.sendall(protocol.encode_line({"cmd": "status"}) * 400)
+                    # Not reading yet lets the daemon's replies fill the
+                    # socket buffer; reading at once would hide the gap.
+                    time.sleep(0.3)
+                    lines, closed = _lines_until_eof(sock, want=400)
+                assert closed or len(lines) == 400
+                assert all(protocol.decode_line(line)["ok"] for line in lines)
                 client.shutdown()
 
 
