@@ -4,7 +4,7 @@ Hibernator promises that the *cumulative average* response time stays at
 or below the goal whenever the full-speed array could meet it. The
 mechanism is a running deficit
 
-    D = sum over completed requests of (latency - goal)
+    D = sum over served requests of (latency - goal)
 
 which is exactly ``n * (cumulative_average - goal)``. Whenever D turns
 positive the guarantee is at risk: the controller **boosts** — spins
@@ -15,6 +15,10 @@ hysteresis margin so the array does not oscillate at the boundary.
 Boosting is what lets the rest of the system be aggressive: the CR
 optimizer can pick slow, cheap configurations knowing that a prediction
 error is bounded by the boost's reaction, not by the epoch length.
+
+The controller owns no deficit of its own: it reads the run's one
+:class:`~repro.sim.stats.DeficitTracker`, which the simulation feeds
+with every *served* request's latency (failed requests have none).
 """
 
 from __future__ import annotations
@@ -70,11 +74,18 @@ class GuaranteeConfig:
 
 
 class BoostController:
-    """Tracks the deficit and decides when to enter/leave the boost."""
+    """Reads a deficit tracker and decides when to enter/leave the boost.
 
-    def __init__(self, goal_s: float, config: GuaranteeConfig | None = None) -> None:
+    Args:
+        tracker: the deficit the boost acts on. Whoever owns it feeds it;
+            the controller only reads it (and may be pointed at a new
+            tracker when the goal changes).
+        config: boost knobs.
+    """
+
+    def __init__(self, tracker: DeficitTracker, config: GuaranteeConfig | None = None) -> None:
         self.config = config or GuaranteeConfig()
-        self.tracker = DeficitTracker(goal_s)
+        self.tracker = tracker
         self.boosted = False
         self.boosts_entered = 0
         self.boost_seconds = 0.0
@@ -90,10 +101,6 @@ class BoostController:
     @property
     def deficit(self) -> float:
         return self.tracker.deficit
-
-    def observe(self, latency_s: float) -> None:
-        """Fold one completed foreground request into the deficit."""
-        self.tracker.add(latency_s)
 
     def set_degraded(self, degraded: bool) -> None:
         """Tell the controller the array is (no longer) degraded; the

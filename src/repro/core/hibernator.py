@@ -11,9 +11,11 @@ Glues the four techniques from the abstract into one
 3. data migration — plan moves with randomized shuffling (or the sorted
    strawman, for F8) and trickle them through a bounded-concurrency
    executor so migration never swamps foreground traffic,
-4. the performance guarantee — every completed request feeds the boost
-   controller; the moment the cumulative average response time would
-   exceed the goal, all disks go to full speed and migration yields.
+4. the performance guarantee — every completed request checks the boost
+   controller against the run's deficit (which the simulation feeds with
+   each served request's latency); the moment the cumulative average
+   response time would exceed the goal, all disks go to full speed and
+   migration yields.
 
 The first epoch is an *observation epoch*: with no heat history the
 array runs at full speed while the tracker learns the workload (the
@@ -48,7 +50,6 @@ from repro.core.temperature import HeatTracker
 from repro.obs.events import EpochBoundary
 from repro.policies.base import PowerPolicy
 from repro.sim.request import Request
-from repro.sim.stats import DeficitTracker, OnlineStats
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.runner import ArraySimulation
@@ -151,7 +152,10 @@ class HibernatorPolicy(PowerPolicy):
         self.assignment: SpeedAssignment | None = None
         self.layout: TierLayout | None = None
         self.epochs: list[EpochRecord] = []
-        self._size_stats = OnlineStats()
+        # Count and Welford running mean of request sizes; the CR model
+        # needs only the mean.
+        self._size_n = 0
+        self._size_mean = 0.0
         self._rng = np.random.default_rng(self.config.seed)
         self._model: MG1ResponseModel | None = None
         self._speed_change_gen = 0
@@ -176,7 +180,9 @@ class HibernatorPolicy(PowerPolicy):
             smoothing=cfg.heat_smoothing,
             write_weight=4.0 if array.config.raid5 else 1.0,
         )
-        self.boost = BoostController(sim.goal_s, cfg.guarantee) if sim.goal_s else None
+        # The boost reads the run's own deficit tracker: one tracker, fed
+        # once per served request by the simulation.
+        self.boost = BoostController(sim.deficit, cfg.guarantee) if sim.deficit is not None else None
         if self.boost is not None:
             self.boost.emit = sim.emit
         self.executor = MigrationExecutor(array, cfg.max_inflight_migrations)
@@ -194,7 +200,8 @@ class HibernatorPolicy(PowerPolicy):
         self.assignment = None
         self.layout = None
         self.epochs = []
-        self._size_stats = OnlineStats()
+        self._size_n = 0
+        self._size_mean = 0.0
         self._rng = np.random.default_rng(cfg.seed)
         self._model = None
         self._speed_change_gen = 0
@@ -218,24 +225,26 @@ class HibernatorPolicy(PowerPolicy):
     def on_request_arrival(self, request: Request) -> None:
         assert self.heat is not None
         self.heat.record(request.extent, is_write=not request.is_read)
-        self._size_stats.add(float(request.size))
+        # Welford's mean update, exactly as OnlineStats.add orders it.
+        self._size_n += 1
+        self._size_mean += (request.size - self._size_mean) / self._size_n
         if request.is_read:
             self._reads_seen += 1
         else:
             self._writes_seen += 1
 
     def on_request_complete(self, request: Request) -> None:
-        if self.boost is None:
+        # The simulation has already folded a served request's latency
+        # into the deficit the boost reads; a failed request adds nothing.
+        boost = self.boost
+        if boost is None or not boost.should_enter_boost():
             return
-        self.boost.observe(request.latency)
         sim = self.sim
-        assert sim is not None
-        if self.boost.should_enter_boost():
-            self.boost.enter_boost(sim.engine.now)
-            self.metrics.counter("boosts").inc()
-            self._boost_speeds()
-            assert self.executor is not None
-            self.executor.cancel()
+        assert sim is not None and self.executor is not None
+        boost.enter_boost(sim.engine.now)
+        self.metrics.counter("boosts").inc()
+        self._boost_speeds()
+        self.executor.cancel()
         # Exit is evaluated only at epoch boundaries: leaving mid-epoch
         # would reinstate speeds chosen for the stale heat that caused
         # the violation in the first place.
@@ -273,10 +282,12 @@ class HibernatorPolicy(PowerPolicy):
 
         Tightening or loosening the goal restarts the deficit from zero
         (overshoots against the old goal are not debts against the new
-        one); clearing the goal retires the boost controller after
-        closing its time accounting. An active boost is left boosted —
-        the next epoch boundary re-evaluates exit against the new goal,
-        exactly as it would after any other deficit reset.
+        one): the simulation has already replaced its tracker, and the
+        boost is pointed at the new one. Clearing the goal retires the
+        boost controller after closing its time accounting. An active
+        boost is left boosted — the next epoch boundary re-evaluates exit
+        against the new goal, exactly as it would after any other
+        deficit reset.
         """
         sim = self.sim
         assert sim is not None
@@ -287,15 +298,16 @@ class HibernatorPolicy(PowerPolicy):
                 self.metrics.gauge("boost_seconds").set(self.boost.boost_seconds)
                 self.boost = None
             return
+        assert sim.deficit is not None and sim.deficit.goal == goal_s
         if self.boost is None:
-            self.boost = BoostController(goal_s, self.config.guarantee)
+            self.boost = BoostController(sim.deficit, self.config.guarantee)
             self.boost.emit = sim.emit
             self.boost.set_degraded(self._rebuilding)
             self.metrics.counter("boosts")
             self.metrics.gauge("boost_seconds")
             self.metrics.gauge("final_deficit_s")
         else:
-            self.boost.tracker = DeficitTracker(goal_s)
+            self.boost.tracker = sim.deficit
 
     def force_boost(self, now: float) -> bool:
         """Operator-forced boost: same entry path the deficit takes."""
@@ -339,7 +351,6 @@ class HibernatorPolicy(PowerPolicy):
 
     def _adapt_epoch_length(self, previous_boundaries, boosts_before: int) -> None:
         """Grow the epoch while nothing changes; reset when it does."""
-        assert self.assignment is not None and self.boost is not None or True
         base = self.config.epoch_seconds
         boosted_since = (
             self.boost is not None and self.boost.boosts_entered > boosts_before
@@ -380,7 +391,7 @@ class HibernatorPolicy(PowerPolicy):
         if not survivors:
             return  # the whole array is gone; nothing to control
         degraded = len(survivors) < array.num_disks
-        mean_size = self._size_stats.mean if self._size_stats.n else 4096.0
+        mean_size = self._size_mean if self._size_n else 4096.0
         self._model = MG1ResponseModel(
             mechanics=array.disks[0].mechanics,
             mean_request_bytes=mean_size,

@@ -209,6 +209,7 @@ class DiskArray:
                 return
             if data_disk in self.failed_disks and kind is IoKind.READ:
                 self.degraded_reads += 1
+        request.on_complete = on_complete
         if (
             self._write_cache
             and kind is IoKind.WRITE
@@ -220,35 +221,13 @@ class DiskArray:
             else:
                 for phys in physicals:
                     self.submit_background_op(phys.disk, phys.block, phys.kind, phys.size)
-
-            def _acknowledge(request: Request = request) -> None:
-                request.completion = self.engine.now
-                self.foreground_completed += 1
-                if on_complete is not None:
-                    on_complete(request)
-
             # Acknowledgements always fire: tuple fast path.
-            self.engine.schedule_after_fast(self.config.write_cache_latency_s, _acknowledge)
+            self.engine.schedule_after_fast(
+                self.config.write_cache_latency_s, self._acknowledge, (request,)
+            )
             return
 
         request.ops_outstanding = 1 if physicals is None else len(physicals)
-
-        def _op_done(op: DiskOp, request: Request = request) -> None:
-            if op.failed:
-                # A physical leg exhausted its retry budget (or its disk
-                # died mid-retry): the logical request fails, but only
-                # once every leg has unwound.
-                request.failed = True
-            request.ops_outstanding -= 1
-            if request.ops_outstanding == 0:
-                request.completion = self.engine.now
-                if request.failed:
-                    self.failed_requests += 1
-                elif request.klass is RequestClass.FOREGROUND:
-                    self.foreground_completed += 1
-                if on_complete is not None:
-                    on_complete(request)
-
         if physicals is None:
             self.disks[data_disk].submit(DiskOp(
                 request=request,
@@ -256,7 +235,7 @@ class DiskArray:
                 disk_index=data_disk,
                 block=data_block,
                 size=request.size,
-                on_complete=_op_done,
+                on_complete=self._op_done,
             ))
             return
         for phys in physicals:
@@ -266,9 +245,38 @@ class DiskArray:
                 disk_index=phys.disk,
                 block=phys.block,
                 size=phys.size,
-                on_complete=_op_done,
+                on_complete=self._op_done,
             )
             self.disks[phys.disk].submit(op)
+
+    def _op_done(self, op: DiskOp) -> None:
+        """One physical leg of a logical request finished; the request
+        completes, and its callback fires, with its last leg."""
+        request = op.request
+        assert request is not None
+        if op.failed:
+            # A physical leg exhausted its retry budget (or its disk
+            # died mid-retry): the logical request fails, but only
+            # once every leg has unwound.
+            request.failed = True
+        request.ops_outstanding -= 1
+        if request.ops_outstanding == 0:
+            request.completion = self.engine.now
+            if request.failed:
+                self.failed_requests += 1
+            elif request.klass is RequestClass.FOREGROUND:
+                self.foreground_completed += 1
+            on_complete = request.on_complete
+            if on_complete is not None:
+                on_complete(request)
+
+    def _acknowledge(self, request: Request) -> None:
+        """Write-back cache acknowledgement of a foreground write."""
+        request.completion = self.engine.now
+        self.foreground_completed += 1
+        on_complete = request.on_complete
+        if on_complete is not None:
+            on_complete(request)
 
     # -- background traffic -------------------------------------------------
 

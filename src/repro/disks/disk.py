@@ -38,6 +38,12 @@ from repro.obs.events import OpRetried, SpeedTransition, TraceEvent
 from repro.sim.engine import Engine
 from repro.sim.request import DiskOp
 
+#: Rotation fractions drawn per refill of a disk's draw buffer. One
+#: ``rng.random(n)`` call yields the same doubles, in the same order, as
+#: ``n`` scalar draws, and costs a fraction of them; the buffer's float
+#: objects are the price (about 8 KiB per sampling disk).
+ROTATION_DRAW_BLOCK = 256
+
 
 class DiskState(enum.Enum):
     """Spindle/service state of a disk."""
@@ -84,6 +90,10 @@ class MultiSpeedDisk:
         self.index = index
         self.total_blocks = total_blocks
         self.rng = rng
+        # Buffered rotation fractions from ``rng``, consumed in order;
+        # filled on the first sampled op (see _start_service).
+        self._draws: list[float] = []
+        self._draw_index = 0
         self.rpm = initial_rpm
         self.state = DiskState.STANDBY if initial_rpm == 0 else DiskState.IDLE
         self.queue: QueueDiscipline = make_discipline(scheduler)
@@ -312,13 +322,20 @@ class MultiSpeedDisk:
         self._in_flight = op
         self.state = DiskState.ACTIVE
         self.meter.update(now, self._active_watts(self.rpm), "active")
+        rng = self.rng
+        if rng is None:
+            draw = None
+        else:
+            draws = self._draws
+            i = self._draw_index
+            if i == len(draws):
+                draws = self._draws = rng.random(ROTATION_DRAW_BLOCK).tolist()
+                i = 0
+            draw = draws[i]
+            self._draw_index = i + 1
+        # Positional on purpose: this is the per-op call.
         service = self.mechanics.service_time(
-            from_block=self.head_block,
-            to_block=op.block,
-            total_blocks=self.total_blocks,
-            size_bytes=op.size,
-            rpm=self.rpm,
-            rng=self.rng,
+            self.head_block, op.block, self.total_blocks, op.size, self.rpm, draw,
         )
         if self.fault_state is not None:
             service *= self.fault_state.slow_factor(now)

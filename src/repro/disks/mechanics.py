@@ -93,7 +93,7 @@ class DiskMechanics:
         total_blocks: int,
         size_bytes: int,
         rpm: int,
-        rng: np.random.Generator | None = None,
+        rotation_fraction: float | None = None,
     ) -> float:
         """Full service time of one op.
 
@@ -103,8 +103,9 @@ class DiskMechanics:
             total_blocks: number of addressable blocks on the disk.
             size_bytes: transfer size.
             rpm: current spindle speed (must be a spinning speed).
-            rng: randomness source for rotational latency; None uses the
-                expected latency (deterministic mode).
+            rotation_fraction: a uniform draw in [0, 1) giving the
+                rotational latency as that fraction of one rotation;
+                None uses the expected latency (deterministic mode).
         """
         if rpm <= 0:
             raise ValueError("disk must be spinning to serve an op")
@@ -125,7 +126,9 @@ class DiskMechanics:
         if cached is None:
             cached = self._rpm_cache[rpm] = (self.spec.rotation_s(rpm), self.spec.transfer_bps(rpm))
         rotation_s, bps = cached
-        rotation = rotation_s / 2.0 if rng is None else float(rng.uniform(0.0, rotation_s))
+        # rotation_s * u is bit-identical to numpy's uniform(0.0, rotation_s),
+        # which computes 0.0 + rotation_s * u from the same double u.
+        rotation = rotation_s / 2.0 if rotation_fraction is None else rotation_s * rotation_fraction
         return seek + rotation + size_bytes / bps
 
     # -- analytic moments (for the CR optimizer) ---------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Callable
 
 
 class IoKind(enum.Enum):
@@ -48,6 +49,8 @@ class Request:
         completion: set when the last physical op finishes; None while
             in flight.
         ops_outstanding: physical ops still in flight for this request.
+        on_complete: callback the array fires with the request when it
+            completes (set by :meth:`repro.disks.array.DiskArray.submit`).
     """
 
     req_id: int
@@ -63,6 +66,7 @@ class Request:
     #: double failure); failed requests complete immediately and are
     #: excluded from latency statistics.
     failed: bool = False
+    on_complete: Callable[[Request], None] | None = field(default=None, repr=False, compare=False)
 
     @property
     def latency(self) -> float:

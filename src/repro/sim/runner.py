@@ -181,6 +181,10 @@ class ArraySimulation:
         if self.emit is not None:
             self.array.install_trace_hook(self.emit)
         self.latency = LatencyRecorder(keep_samples=keep_latency_samples)
+        #: The run's one response-time deficit, fed with every served
+        #: request's latency before the policy sees the completion.
+        #: Goal-aware policies read it (Hibernator's boost) and never
+        #: feed a copy of their own.
         self.deficit = DeficitTracker(goal_s) if goal_s is not None else None
         self._window_s = window_s
         self._latency_windows = WindowAverage(window_s) if window_s else None
@@ -457,7 +461,8 @@ class ArraySimulation:
         would make the cumulative figure meaningless — and the policy is
         told via :meth:`~repro.policies.base.PowerPolicy.on_goal_changed`
         so goal-aware controllers (the boost, the CR optimizer's next
-        epoch solve) act on it online.
+        epoch solve) act on it online; a boost rebinds to the new
+        :attr:`deficit` there.
         """
         if goal_s is not None and goal_s <= 0:
             raise ValueError(f"goal must be positive, got {goal_s!r}")

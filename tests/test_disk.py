@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.disks.disk import DiskState, MultiSpeedDisk
+from repro.disks.array import ArrayConfig, DiskArray
+from repro.disks.disk import ROTATION_DRAW_BLOCK, DiskState, MultiSpeedDisk
 from repro.disks.specs import ultrastar_36z15
 from repro.sim.engine import Engine
 from repro.sim.request import DiskOp, IoKind
@@ -269,3 +273,73 @@ def test_low_speed_service_slower_end_to_end(engine):
     fast_engine.run()
     slow_engine.run()
     assert done_s[0].service_time > done_f[0].service_time
+
+
+def _record_service_times(disk: MultiSpeedDisk) -> list[float]:
+    """Shadow the disk's per-op service_time with one that records."""
+    served: list[float] = []
+    real = disk.mechanics.service_time
+
+    def recording(*args):
+        served.append(real(*args))
+        return served[-1]
+
+    disk.mechanics.service_time = recording
+    return served
+
+
+def _serve_all(disk: MultiSpeedDisk, engine: Engine, blocks: list[int], sizes: list[int]) -> None:
+    for block, size in zip(blocks, sizes):
+        disk.submit(make_op(block=block, size=size))
+    engine.run()
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    rpm=st.sampled_from(ultrastar_36z15().rpm_levels),
+    num_ops=st.integers(3 * ROTATION_DRAW_BLOCK + 1, 4 * ROTATION_DRAW_BLOCK + 17),
+)
+def test_buffered_rotation_draws_equal_scalar_draws(seed, rpm, num_ops):
+    """Rotation fractions drawn in blocks give service times bit-identical
+    to one scalar ``uniform(0.0, rotation_s)`` draw per op from a
+    generator with the same seed, across several buffer refills."""
+    engine = Engine()
+    disk = MultiSpeedDisk(
+        engine=engine, spec=ultrastar_36z15(), total_blocks=100,
+        rng=np.random.default_rng(seed), initial_rpm=rpm,
+    )
+    served = _record_service_times(disk)
+    layout = np.random.default_rng([seed, 1])
+    blocks = layout.integers(0, 100, size=num_ops).tolist()
+    sizes = (512 * layout.integers(1, 129, size=num_ops)).tolist()
+    _serve_all(disk, engine, blocks, sizes)
+
+    mech = disk.mechanics
+    scalar = np.random.default_rng(seed)
+    rotation_s, bps = mech.spec.rotation_s(rpm), mech.spec.transfer_bps(rpm)
+    expected, head = [], 0
+    for block, size in zip(blocks, sizes):
+        seek = mech.seek_time(min(abs(block - head) / 99, 1.0))
+        expected.append(seek + float(scalar.uniform(0.0, rotation_s)) + size / bps)
+        head = block
+    assert len(served) == num_ops
+    assert [t.hex() for t in served] == [t.hex() for t in expected]
+
+
+def test_deterministic_latency_is_half_a_rotation():
+    engine = Engine()
+    config = ArrayConfig(num_disks=1, num_extents=40, deterministic_latency=True)
+    disk = DiskArray(engine, config).disks[0]
+    assert disk.rng is None
+    disk.force_speed(6000)
+    served = _record_service_times(disk)
+    _serve_all(disk, engine, [0, 30, 30], [4096, 8192, 512])
+    mech, span = disk.mechanics, disk.total_blocks - 1
+    half = mech.spec.rotation_s(6000) / 2
+    bps = mech.spec.transfer_bps(6000)
+    assert served == [
+        0.0 + half + 4096 / bps,
+        mech.seek_time(30 / span) + half + 8192 / bps,
+        0.0 + half + 512 / bps,
+    ]

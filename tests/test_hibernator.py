@@ -7,10 +7,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from repro.analysis.experiments import default_array_config
 from repro.core.guarantee import GuaranteeConfig
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
+from repro.faults.plan import DiskFailure, FaultPlan
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.sim.runner import ArraySimulation
+from repro.traces.oltp import OltpConfig, generate_oltp
 from repro.traces.tracestats import per_extent_rates
 from tests.conftest import make_trace, poisson_trace
 
@@ -263,6 +266,57 @@ def test_runs_without_goal(small_config):
     assert policy.boost is None
     assert "boosts" not in result.extras
     assert result.energy_joules > 0
+
+
+def test_failed_requests_earn_no_boost_credit():
+    """A request lost with a non-RAID disk has no latency, so the deficit
+    the boost acts on covers exactly the served requests. Each failure
+    used to feed the boost its failure-time latency, about one goal of
+    credit that was never earned."""
+    trace = generate_oltp(OltpConfig(duration=120.0, rate=200.0, num_extents=800))
+    faults = FaultPlan(disk_failures=(DiskFailure(time_s=20.0, disk=3),), rebuild=False)
+    sim = ArraySimulation(
+        trace, default_array_config(num_disks=8, num_extents=800),
+        HibernatorPolicy(HibernatorConfig()), goal_s=0.008, faults=faults,
+    )
+    result = sim.run()
+    assert result.failed_requests > 0
+    assert result.num_requests + result.failed_requests == len(trace)
+    assert result.extras["final_deficit_s"] == pytest.approx(
+        (result.mean_response_s - result.goal_s) * result.num_requests
+    )
+
+
+def test_goal_changes_rebind_boost_to_the_runs_deficit(small_config):
+    """Tighten the goal, clear it, set it again: after each change the
+    boost reads the simulation's own tracker, never a private copy."""
+    trace = poisson_trace(rate=20.0, duration=400.0, seed=29)
+    policy = HibernatorPolicy(HibernatorConfig(epoch_seconds=100.0))
+    sim = ArraySimulation(trace, small_config, policy, goal_s=0.05)
+    sim.begin()
+    assert policy.boost.tracker is sim.deficit
+    sim.step(until=100.0)
+
+    first = sim.deficit
+    sim.set_goal(0.02)
+    assert sim.deficit is not first and sim.deficit.n == 0
+    assert policy.boost.tracker is sim.deficit
+    sim.step(until=200.0)
+    assert sim.deficit.n > 0
+    assert policy.extras()["final_deficit_s"] == sim.deficit.deficit
+
+    sim.set_goal(None)
+    assert sim.deficit is None and policy.boost is None
+    sim.step(until=300.0)
+
+    sim.set_goal(0.03)
+    assert policy.boost.tracker is sim.deficit
+    assert policy.boost.goal_s == 0.03
+    sim.step()
+    result = sim.finalize()
+    assert sim.deficit.n > 0
+    assert result.extras["final_deficit_s"] == sim.deficit.deficit
+    assert result.cumulative_avg_vs_goal == pytest.approx(sim.deficit.deficit / sim.deficit.n)
 
 
 def test_describe_mentions_settings():

@@ -301,8 +301,9 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """The batch execution core was deleted from ``repro.sim`` and the
-    migration executor may now start a plan while copies of the last
-    one are still in flight. Every golden digest is unchanged, but the
-    semantics-bearing modules changed, so the guard demands a bump."""
-    assert CODE_VERSION == "2026.08-8"
+    """Disks draw rotation fractions in blocks, and Hibernator's boost
+    reads the run's one deficit tracker, so failed requests no longer
+    earn boost credit. Every golden digest is unchanged, but goal runs
+    with failed requests change and the semantics-bearing modules
+    changed, so the guard demands a bump."""
+    assert CODE_VERSION == "2026.08-9"

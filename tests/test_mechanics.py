@@ -124,7 +124,7 @@ class TestMoments:
         samples = np.empty(n)
         for i in range(n):
             samples[i] = mech.service_time(
-                int(blocks[i, 0]), int(blocks[i, 1]), 101, size, rpm, rng
+                int(blocks[i, 0]), int(blocks[i, 1]), 101, size, rpm, rng.random()
             )
         m = mech.service_moments(rpm, size)
         assert m.mean == pytest.approx(samples.mean(), rel=0.02)
