@@ -97,7 +97,7 @@ def _strict_json(value: Any) -> Any:
     Python's default ``json.dump`` would emit a bare ``NaN`` literal
     that strict parsers (``jq``, ``JSON.parse``) reject. Every ``--json``
     CLI path funnels through :func:`write_json`, so sanitizing here
-    covers run/compare/fleet at once.
+    covers run/compare/serve at once.
     """
     if isinstance(value, float) and not math.isfinite(value):
         return None

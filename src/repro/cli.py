@@ -14,12 +14,6 @@ Drive the library without writing Python::
     python -m repro sweep-slack --trace oltp.csv --slacks 1.5,2,3
     python -m repro cache --cache-dir .repro-cache --clear
 
-Fleet-scale simulation (see docs/fleet.md)::
-
-    python -m repro fleet run --arrays 8 --policy hibernator --jobs 4
-    python -m repro fleet run --arrays 4 --partitioner stripe --json
-    python -m repro fleet compare --arrays 4 --policies base,hibernator
-
 Online serving (see docs/serve.md)::
 
     python -m repro serve --replay oltp.csv --accel 0 --control /tmp/repro.sock
@@ -36,7 +30,6 @@ the same knobs as ``gen-trace``. All commands print plain-text tables.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import sys
 from typing import Sequence
 
@@ -55,7 +48,6 @@ from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
 from repro.policies.oracle import OraclePolicy
 from repro.policies.pdc import PdcConfig, PdcPolicy
 from repro.policies.tpm import TpmConfig, TpmPolicy
-from repro.fleet.spec import PARTITIONER_NAMES
 from repro.sim.runner import SimulationResult
 from repro.traces.cello import CelloConfig, generate_cello
 from repro.traces.io import load_trace, save_trace
@@ -99,6 +91,18 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _goal_ms(text: str) -> float:
+    """``--goal-ms`` on ``serve`` and ``ctl``: the daemon's ``set-goal``
+    check (finite, > 0), so ``nan`` or ``inf`` exits 2 here instead of
+    running without a usable goal or reaching the wire as null."""
+    from repro.serve.protocol import ProtocolError, finite_goal
+
+    try:
+        return finite_goal(float(text), "value")
+    except ProtocolError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--jobs", type=_positive_int, default=1,
                         help="worker processes for independent runs "
@@ -127,32 +131,6 @@ def _write_trace_out(events, path: str) -> None:
     with atomic_write(path) as fh:
         lines = write_jsonl(events, fh)
     print(f"wrote {lines} trace event(s) to {path}")
-
-
-@contextlib.contextmanager
-def _graceful_sigterm():
-    """Turn SIGTERM into KeyboardInterrupt for the enclosed block.
-
-    `kill <pid>` then unwinds through the same exception path as Ctrl-C,
-    so `finally` blocks (worker-pool teardown, atomic file writes) run
-    instead of the process dying mid-write. Only installable from the
-    main thread; elsewhere (tests) the block runs unprotected.
-    """
-    import signal
-    import threading
-
-    if threading.current_thread() is not threading.main_thread():
-        yield
-        return
-
-    def _raise(signum, frame):
-        raise KeyboardInterrupt
-
-    previous = signal.signal(signal.SIGTERM, _raise)
-    try:
-        yield
-    finally:
-        signal.signal(signal.SIGTERM, previous)
 
 
 def _make_cache(args: argparse.Namespace):
@@ -481,147 +459,6 @@ def cmd_sweep_slack(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fleet_trace_spec(args: argparse.Namespace):
-    """Fleet workload as a picklable TraceSpec.
-
-    Splitting partitioners address the *global* extent space
-    (``--arrays`` x ``--extents``); ``replicate`` keeps the per-array
-    space because each array regenerates the recipe with its own seed.
-    """
-    from repro.analysis.parallel import TraceSpec
-
-    if args.trace:
-        return TraceSpec.from_file(args.trace)
-    if args.partitioner == "replicate":
-        extents = args.extents
-    else:
-        extents = args.arrays * args.extents
-    config = _inline_config(args.kind, args.duration, args.rate,
-                            extents, args.seed)
-    return TraceSpec.from_generator(args.kind, config)
-
-
-def _fleet_policy_spec(name: str, args: argparse.Namespace):
-    from repro.analysis.parallel import PolicySpec
-
-    if name == "hibernator":
-        return PolicySpec.named("hibernator", epoch_seconds=args.epoch)
-    if name == "pdc":
-        return PolicySpec.named("pdc", period_s=args.epoch)
-    if name == "oracle":
-        return PolicySpec.named("oracle", epoch_seconds=args.epoch)
-    return PolicySpec.named(name)
-
-
-def _build_fleet(args: argparse.Namespace, policy_name: str):
-    from repro.fleet import FleetSpec, load_fleet_fault_plan
-
-    faults = None
-    if getattr(args, "fleet_faults", None):
-        faults = load_fleet_fault_plan(args.fleet_faults)
-    return FleetSpec(
-        num_arrays=args.arrays,
-        trace=_fleet_trace_spec(args),
-        array=_array_config(args, args.extents),
-        policy=_fleet_policy_spec(policy_name, args),
-        partitioner=args.partitioner,
-        goal_s=args.goal_ms / 1e3 if args.goal_ms is not None else None,
-        observe=bool(getattr(args, "trace_out", None)),
-        faults=faults,
-        seed=args.fleet_seed,
-    )
-
-
-def cmd_fleet_run(args: argparse.Namespace) -> int:
-    import time
-
-    from repro.fleet import FleetResult, fleet_to_dict, run_fleet
-
-    fleet = _build_fleet(args, args.policy)
-    cache = _make_cache(args)
-    start = time.perf_counter()
-    # Long fleet runs are the ones operators Ctrl-C or `kill` mid-flight;
-    # route SIGTERM through KeyboardInterrupt so both paths unwind the
-    # same way: worker pool torn down, already-cached shards stay cached
-    # (each put is atomic), and no partial --trace-out file can appear
-    # (it is written atomically after the run completes).
-    with _graceful_sigterm():
-        try:
-            result = run_fleet(fleet, jobs=args.jobs, cache=cache)
-        except KeyboardInterrupt:
-            print("repro fleet run: interrupted; partial results discarded "
-                  "(cached shards are kept for the next run)", file=sys.stderr)
-            return 130
-    wall = time.perf_counter() - start
-    if args.trace_out:
-        events = list(result.events)
-        for shard in result.results:
-            events.extend(shard.events)
-        _write_trace_out(events, args.trace_out)
-    if args.json:
-        from repro.analysis.export import write_json
-
-        write_json(fleet_to_dict(result), sys.stdout)
-        print()
-    else:
-        print(format_table(
-            FleetResult.HEADERS, result.rows(),
-            title=f"{result.trace_name}: {result.policy_name} fleet, per array",
-        ))
-        print()
-        pairs = result.summary_pairs()
-        pairs.extend((key, f"{value:g}") for key, value in sorted(result.extras.items()))
-        pairs.append(("simulated in", f"{wall:.2f} s wall ({args.jobs} job(s))"))
-        print(format_kv(f"== fleet: {result.policy_name} on {result.trace_name} ==",
-                        pairs))
-    if cache is not None:
-        stats = cache.stats()
-        print(f"cache: {stats['hits']} hit(s), {stats['misses']} miss(es), "
-              f"{stats['stores']} stored, {stats['entries']} entr(ies) on disk")
-    return 0
-
-
-def cmd_fleet_compare(args: argparse.Namespace) -> int:
-    from repro.fleet import run_fleet
-
-    policies = [p.strip() for p in args.policies.split(",") if p.strip()]
-    unknown = sorted(set(policies) - set(POLICY_NAMES))
-    if unknown:
-        print(f"repro fleet compare: unknown policy(ies) {unknown}; "
-              f"known: {sorted(POLICY_NAMES)}", file=sys.stderr)
-        return 2
-    cache = _make_cache(args)
-    results = [run_fleet(_build_fleet(args, name), jobs=args.jobs, cache=cache)
-               for name in policies]
-    base = results[policies.index("base")] if "base" in policies else None
-    rows = []
-    for result in results:
-        savings = "-"
-        if base is not None and result is not base:
-            savings = f"{100.0 * result.energy_savings_vs(base):.1f}"
-        rows.append((
-            result.policy_name,
-            f"{result.energy_joules / 1e3:.1f}",
-            savings,
-            f"{result.mean_response_s * 1e3:.2f}",
-            f"{100.0 * result.availability:.3f}",
-            str(result.spinups),
-            str(result.failed_requests),
-        ))
-    print(format_table(
-        ("policy", "energy kJ", "savings %", "mean ms", "avail %",
-         "spinups", "failed"),
-        rows,
-        title=f"fleet comparison: {args.arrays} array(s), "
-              f"partitioner={args.partitioner}",
-    ))
-    if cache is not None:
-        stats = cache.stats()
-        print(f"cache: {stats['hits']} hit(s), {stats['misses']} miss(es), "
-              f"{stats['stores']} stored, {stats['entries']} entr(ies) on disk")
-    return 0
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve.daemon import ServeDaemon
     from repro.sim.runner import ArraySimulation
@@ -787,79 +624,10 @@ def cmd_lint(args: argparse.Namespace) -> int:
 
 
 def cmd_perf(args: argparse.Namespace) -> int:
-    from datetime import datetime, timezone
-    from pathlib import Path
+    from repro.perf import write_golden
 
-    from repro.lint.guard import resolve_repo_root
-    from repro.perf import (
-        compare_benchmarks,
-        find_baseline,
-        load_bench,
-        profile_scenarios,
-        run_benchmark,
-        select_scenarios,
-        write_bench,
-        write_golden,
-    )
-
-    try:
-        scenarios = select_scenarios(
-            names=args.scenario or None, quick=args.quick
-        )
-    except ValueError as exc:
-        print(f"repro perf: {exc}", file=sys.stderr)
-        return 2
-
-    if args.list:
-        for s in scenarios:
-            quick = " (quick)" if s.quick else ""
-            print(f"{s.name:<28} trace={s.trace} policy={s.policy} "
-                  f"faults={s.faults}{quick}")
-        return 0
-
-    if args.write_golden:
-        digests = write_golden(args.write_golden)
-        print(f"wrote {len(digests)} golden digest(s) to {args.write_golden}")
-        return 0
-
-    if args.profile:
-        print(profile_scenarios(scenarios, top=args.top))
-        return 0
-
-    print(f"== repro perf: {len(scenarios)} scenario(s), "
-          f"best of {args.repeats} repeat(s) ==")
-    doc = run_benchmark(scenarios, repeats=args.repeats, log=print)
-
-    root = resolve_repo_root(Path.cwd())
-    if args.out:
-        out = Path(args.out)
-    else:
-        stamp = datetime.now(timezone.utc).strftime("%Y-%m-%d")
-        out = root / f"BENCH_{stamp}.json"
-    write_bench(doc, out)
-    print(f"wrote {out}")
-
-    if args.baseline:
-        baseline_path: Path | None = Path(args.baseline)
-    else:
-        baseline_path = find_baseline(root, exclude=out)
-    if baseline_path is None:
-        print("no committed BENCH_*.json baseline found; nothing to compare")
-        return 0
-    try:
-        baseline = load_bench(baseline_path)
-    except (ValueError, OSError) as exc:
-        print(f"repro perf: cannot read baseline: {exc}", file=sys.stderr)
-        return 2
-    print(f"baseline: {baseline_path} (generated {baseline.get('generated_at')})")
-    lines, regressions = compare_benchmarks(doc, baseline, threshold=args.threshold)
-    for line in lines:
-        print(line)
-    if regressions:
-        print(f"PERF REGRESSION in {len(regressions)} scenario(s): "
-              f"{', '.join(regressions)}")
-        return 1
-    print("no perf regression")
+    digests = write_golden(args.write_golden)
+    print(f"wrote {len(digests)} golden digest(s) to {args.write_golden}")
     return 0
 
 
@@ -941,58 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_slack)
 
     p = sub.add_parser(
-        "fleet",
-        help="fleet-scale simulation: N arrays as one system",
-        description="Simulate a fleet of arrays sharing one workload "
-                    "(see docs/fleet.md): the trace is partitioned (or "
-                    "replicated) across arrays, per-array simulations fan "
-                    "out over --jobs processes, and the merged report "
-                    "covers energy, response and availability. Results are "
-                    "byte-identical for any --jobs value.",
-    )
-    fleet_sub = p.add_subparsers(dest="fleet_command", required=True)
-
-    def _add_fleet_options(fp: argparse.ArgumentParser) -> None:
-        _add_trace_source(fp)
-        _add_array_options(fp)
-        fp.add_argument("--arrays", type=_positive_int, default=4,
-                        help="fleet width (default 4)")
-        fp.add_argument("--partitioner", choices=PARTITIONER_NAMES,
-                        default="block",
-                        help="workload split: block = contiguous extent "
-                             "ranges, stripe = round-robin interleave, "
-                             "replicate = per-array regeneration with "
-                             "spawned seeds (default block). --extents is "
-                             "per array; block/stripe address the global "
-                             "space arrays*extents")
-        fp.add_argument("--goal-ms", type=float, default=None,
-                        help="per-array mean response-time goal in ms")
-        fp.add_argument("--epoch", type=float, default=600.0,
-                        help="epoch/period seconds for epoch-based policies")
-        fp.add_argument("--fleet-seed", type=int, default=0,
-                        help="fleet seed; per-array streams are spawned "
-                             "from it (default 0)")
-        fp.add_argument("--fleet-faults",
-                        help="JSON fleet fault plan (see docs/fleet.md): "
-                             "common faults, per-array plans, correlated "
-                             "batch failures")
-        _add_parallel_options(fp)
-        _add_trace_out(fp)
-
-    fp = fleet_sub.add_parser("run", help="run one policy across the fleet")
-    _add_fleet_options(fp)
-    fp.add_argument("--policy", choices=POLICY_NAMES, default="hibernator")
-    fp.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    fp.set_defaults(func=cmd_fleet_run)
-
-    fp = fleet_sub.add_parser("compare",
-                              help="run several policies across the same fleet")
-    _add_fleet_options(fp)
-    fp.add_argument("--policies", default="base,hibernator",
-                    help="comma-separated policy list (default base,hibernator)")
-    fp.set_defaults(func=cmd_fleet_compare)
-
-    p = sub.add_parser(
         "serve",
         help="drive one simulation online behind a control socket",
         description="Run the simulator as a daemon (see docs/serve.md): "
@@ -1020,7 +736,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="simulated seconds per wall-clock second; 0 = "
                         "as-fast-as-possible deterministic replay "
                         "(default 0)")
-    p.add_argument("--goal-ms", type=float, default=None,
+    p.add_argument("--goal-ms", type=_goal_ms, default=None,
                    help="mean response-time goal in ms")
     p.add_argument("--exit-on-drain", action="store_true",
                    help="exit when the replay workload drains instead of "
@@ -1046,7 +762,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("ctl_command", choices=CTL_COMMANDS, metavar="command",
                    help=f"one of: {', '.join(CTL_COMMANDS)}")
     p.add_argument("--control", required=True, help="daemon control socket path")
-    p.add_argument("--goal-ms", type=float, default=None,
+    p.add_argument("--goal-ms", type=_goal_ms, default=None,
                    help="set-goal: new goal in ms")
     p.add_argument("--clear-goal", action="store_true",
                    help="set-goal: remove the goal entirely")
@@ -1182,37 +898,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "perf",
-        help="run the canonical benchmark scenarios and gate on regressions",
-        description="Microbenchmark harness: runs a fixed scenario matrix "
-                    "through the real experiment stack, writes a "
-                    "machine-readable BENCH_<date>.json at the repo root "
-                    "and compares events/s against the most recent "
-                    "committed BENCH file. Exit codes: 0 no regression "
-                    "(or no baseline), 1 regression, 2 usage error.",
+        help="regenerate the golden result-digest pins",
+        description="Run the golden recipes (repro.perf.golden_specs) and "
+                    "write their result digests to PATH; this is how "
+                    "tests/golden/golden_results.json is regenerated. "
+                    "Host-time benchmarking lives in bench/run.py.",
     )
-    p.add_argument("--quick", action="store_true",
-                   help="run only the quick subset (CI smoke)")
-    p.add_argument("--scenario", action="append",
-                   help="run only this scenario (repeatable)")
-    p.add_argument("--repeats", type=int, default=3,
-                   help="repeats per scenario; best wall time wins (default 3)")
-    p.add_argument("--out", help="output BENCH path (default "
-                                 "BENCH_<utc-date>.json at the repo root)")
-    p.add_argument("--baseline", help="explicit baseline BENCH file "
-                                      "(default: newest committed BENCH_*.json)")
-    p.add_argument("--threshold", type=float, default=0.9,
-                   help="regression threshold as a fraction of baseline "
-                        "events/s (default 0.9)")
-    p.add_argument("--profile", action="store_true",
-                   help="cProfile the selected scenarios and print the "
-                        "hottest functions instead of benchmarking")
-    p.add_argument("--top", type=int, default=25,
-                   help="rows in the --profile report (default 25)")
-    p.add_argument("--write-golden", metavar="PATH",
+    p.add_argument("--write-golden", metavar="PATH", required=True,
                    help="run the golden scenarios and write their result "
                         "digests to PATH (regenerates the identity pins)")
-    p.add_argument("--list", action="store_true",
-                   help="list the selected scenarios and exit")
     p.set_defaults(func=cmd_perf)
 
     p = sub.add_parser("cache", help="inspect or clear the on-disk result cache")

@@ -1,10 +1,10 @@
 """Cross-module symbol table and call graph for whole-program rules.
 
 Per-file AST scans catch local mistakes; the failure modes that arrived
-with the serve and fleet layers are *interprocedural* — a simulation
-mutator invoked from the wrong side of the step loop, an unpicklable
-object smuggled into a process fan-out two calls away from the
-``execute()`` site. This module gives rules the project-wide view those
+with the serve layer and the process fan-out are *interprocedural* — a
+simulation mutator invoked from the wrong side of the step loop, an
+unpicklable object smuggled into a process fan-out two calls away from
+the ``execute()`` site. This module gives rules the project-wide view those
 checks need, built once per lint run and memoized on
 :class:`~repro.lint.context.ProjectContext`:
 

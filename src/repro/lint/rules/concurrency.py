@@ -11,11 +11,10 @@ boundaries hold, and each has a way of eroding silently:
   (``_cmd_*`` handlers, the ``_ingest*`` path) and other mutators
   (delegation); anything else needs an explicit, reasoned suppression.
 * **CONC002** — arguments reaching a process fan-out
-  (``analysis/parallel.execute``/``map_parallel``) or stored on a
-  ``FleetSpec`` cross a pickle boundary. Lambdas and function-local
-  ``def``s are unpicklable, and the error surfaces only at fan-out
-  time on a worker; this rule catches them at the call/construction
-  site statically.
+  (``analysis/parallel.execute``/``map_parallel``) cross a pickle
+  boundary. Lambdas and function-local ``def``s are unpicklable, and
+  the error surfaces only at fan-out time on a worker; this rule
+  catches them at the call site statically.
 * **CONC003** — module-level mutable state (dicts/lists/sets) in
   result-producing packages is shared by every run in the process and
   invisible to the cache key. Registries are fine when named as
@@ -46,7 +45,6 @@ _CONC001_SCOPES = (
     "repro.disks",
     "repro.policies",
     "repro.faults",
-    "repro.fleet",
     "repro.serve",
 )
 
@@ -57,7 +55,6 @@ _MUTABLE_STATE_SCOPES = (
     "repro.policies",
     "repro.traces",
     "repro.faults",
-    "repro.fleet",
 )
 
 
@@ -107,25 +104,21 @@ def _unpicklable_exprs(
 def check_picklable_fanout(
     ctx: FileContext, project: ProjectContext
 ) -> Iterator[tuple[int, int, str]]:
-    """CONC002: no lambdas/local defs into process fan-outs or FleetSpec."""
+    """CONC002: no lambdas/local defs into process fan-outs."""
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
             continue
         name = bare_call_name(node)
-        if name in ("execute", "map_parallel"):
-            boundary = f"{name}() fans out to worker processes"
-        elif name is not None and (name == "FleetSpec" or name.endswith("FleetSpec")):
-            boundary = f"{name} fields cross the process-pool pickle boundary"
-        else:
+        if name not in ("execute", "map_parallel"):
             continue
         func = ctx.enclosing_function(node)
         locals_ = _local_defs(func) if func is not None else set()
         for value in [*node.args, *(kw.value for kw in node.keywords)]:
             for sub, what in _unpicklable_exprs(value, locals_):
                 yield (sub.lineno, sub.col_offset,
-                       f"{what} passed where {boundary}; pickle cannot "
-                       "serialize it — use a module-level function or a "
-                       "spec-named registry entry")
+                       f"{what} passed where {name}() fans out to worker "
+                       "processes; pickle cannot serialize it — use a "
+                       "module-level function or a spec-named registry entry")
 
 
 def _is_mutable_value(value: ast.expr) -> bool:
@@ -180,7 +173,7 @@ register(Rule(
 register(Rule(
     rule_id="CONC002",
     name="unpicklable-fanout-argument",
-    description="no lambdas or local defs into parallel execute()/FleetSpec fields",
+    description="no lambdas or local defs into parallel execute()/map_parallel()",
     severity=Severity.ERROR,
     scopes=(),
     check=check_picklable_fanout,

@@ -34,7 +34,6 @@ _RESULT_SCOPES = (
     "repro.policies",
     "repro.traces",
     "repro.faults",
-    "repro.fleet",
 )
 
 #: Stdlib ``random`` module-level functions draw from one hidden global

@@ -40,7 +40,6 @@ _OBS_SCOPES = (
     "repro.disks",
     "repro.policies",
     "repro.faults",
-    "repro.fleet",
     "repro.serve",
 )
 

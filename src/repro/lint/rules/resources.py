@@ -5,8 +5,7 @@ writers and result files now outlive the function that created them,
 and the failure modes are the quiet kind — a leaked client socket per
 reconnect, a torn result JSON after a mid-write SIGTERM that a later
 reader mistakes for data. Scope is the long-running and result-bearing
-packages (``repro.serve``, ``repro.fleet``, ``repro.analysis``,
-``repro.perf``).
+packages (``repro.serve``, ``repro.analysis``, ``repro.perf``).
 
 * **RES001** — every acquired resource (``open(...)``,
   ``socket.socket(...)``, ``JsonlWriter(...)``) must have a visible
@@ -31,7 +30,6 @@ from repro.lint.registry import Rule, register
 
 _RES_SCOPES = (
     "repro.serve",
-    "repro.fleet",
     "repro.analysis",
     "repro.perf",
 )

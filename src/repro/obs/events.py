@@ -253,49 +253,6 @@ class RebuildProgress(TraceEvent):
 
 @_register
 @dataclass(frozen=True)
-class FleetRunStart(TraceEvent):
-    """First event of an observed fleet run: identifies the fleet."""
-
-    num_arrays: int
-    trace_name: str
-    policy_name: str
-    partitioner: str
-    goal_s: float | None
-
-    kind: ClassVar[str] = "fleet_run_start"
-
-
-@_register
-@dataclass(frozen=True)
-class FleetArrayDone(TraceEvent):
-    """One array's shard finished (time = that array's sim end)."""
-
-    array: int
-    num_requests: int
-    failed_requests: int
-    energy_joules: float
-    mean_response_s: float
-
-    kind: ClassVar[str] = "fleet_array_done"
-
-
-@_register
-@dataclass(frozen=True)
-class FleetRunEnd(TraceEvent):
-    """Last event of an observed fleet run: the merged totals."""
-
-    num_arrays: int
-    num_requests: int
-    failed_requests: int
-    energy_joules: float
-    spinups: int
-    speed_changes: int
-
-    kind: ClassVar[str] = "fleet_run_end"
-
-
-@_register
-@dataclass(frozen=True)
 class ServeGoalChanged(TraceEvent):
     """A ``set-goal`` control command changed the goal mid-run."""
 

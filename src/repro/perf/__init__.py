@@ -1,54 +1,20 @@
-"""Performance harness: canonical benchmark scenarios and regression gate.
+"""Golden result digests: the byte-identity pins on simulator behaviour.
 
-``repro perf`` runs a fixed scenario matrix (trace kind x policy x
-faults) through the real experiment stack, records throughput into a
-machine-readable ``BENCH_<date>.json`` at the repo root, and compares
-against the most recent committed baseline — exit nonzero on regression,
-exactly like ``repro lint`` exits nonzero on findings.
-
-The same scenarios double as the determinism anchor: every benchmark
-record carries a content digest of its (runtime-stripped) result, and
-the smaller golden set is pinned byte-for-byte by
-``tests/test_golden_identity.py``, so "faster" can never silently mean
-"different".
+:func:`golden_specs` names a small set of run recipes; the
+runtime-stripped :func:`result_digest` of each is pinned by
+``tests/golden/golden_results.json`` (regenerated with ``repro perf
+--write-golden PATH``), so "faster" or "simpler" can never silently
+mean "different". Host-time performance is measured by the repo
+benchmark, ``bench/run.py``, not here.
 """
 
 from repro.perf.digest import DIGEST_VERSION, result_digest, strip_runtime
-from repro.perf.harness import (
-    BENCH_PREFIX,
-    BENCH_SCHEMA_VERSION,
-    DEFAULT_THRESHOLD,
-    compare_benchmarks,
-    find_baseline,
-    load_bench,
-    run_benchmark,
-    write_bench,
-    write_golden,
-)
-from repro.perf.profiling import profile_scenarios
-from repro.perf.scenarios import (
-    PERF_SCENARIOS,
-    PerfScenario,
-    golden_specs,
-    select_scenarios,
-)
+from repro.perf.scenarios import golden_specs, write_golden
 
 __all__ = [
-    "BENCH_PREFIX",
-    "BENCH_SCHEMA_VERSION",
-    "DEFAULT_THRESHOLD",
     "DIGEST_VERSION",
-    "PERF_SCENARIOS",
-    "PerfScenario",
-    "compare_benchmarks",
-    "find_baseline",
     "golden_specs",
-    "load_bench",
-    "profile_scenarios",
     "result_digest",
-    "run_benchmark",
-    "select_scenarios",
     "strip_runtime",
-    "write_bench",
     "write_golden",
 ]

@@ -14,13 +14,9 @@ survive cache-key bumps for unrelated accounting changes.
 from __future__ import annotations
 
 import dataclasses
-from typing import TYPE_CHECKING
 
 from repro.analysis.cache import content_key
 from repro.sim.runner import SimulationResult
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations only
-    from repro.fleet.result import FleetResult
 
 #: Bump only when the digest *algorithm* changes, never for code changes
 #: that are supposed to keep results identical.
@@ -36,23 +32,3 @@ def strip_runtime(result: SimulationResult) -> SimulationResult:
 def result_digest(result: SimulationResult) -> str:
     """Stable hex digest of everything deterministic in ``result``."""
     return content_key(strip_runtime(result), version=DIGEST_VERSION)
-
-
-def fleet_result_digest(fleet_result: "FleetResult") -> str:
-    """Stable hex digest of everything deterministic in a fleet result.
-
-    Covers every per-array shard (runtime extras stripped), the merged
-    fleet extras (deterministic by construction — ``run_fleet`` keeps
-    wall-clock figures out of them) and the fleet-scoped event stream.
-    Equal digests mean byte-identical fleet behaviour, so the perf
-    harness's repeat check doubles as a fleet determinism canary.
-    """
-    return content_key(
-        {
-            "num_arrays": fleet_result.num_arrays,
-            "results": [strip_runtime(r) for r in fleet_result.results],
-            "extras": fleet_result.extras,
-            "events": fleet_result.events,
-        },
-        version=DIGEST_VERSION,
-    )

@@ -316,7 +316,9 @@ class ServeDaemon:
             return protocol.ok_response(handler(request))
         except KeyError as exc:
             return protocol.error_response(f"missing key {exc}")
-        except (protocol.ProtocolError, ValueError, TypeError) as exc:
+        except (protocol.ProtocolError, ValueError, TypeError, OverflowError) as exc:
+            # OverflowError: an integer literal too large for a float
+            # (say a 400-digit goal or fault time) reaching float().
             return protocol.error_response(str(exc))
 
     def _cmd_ping(self, request: dict[str, Any]) -> dict[str, Any]:
@@ -349,10 +351,8 @@ class ServeDaemon:
         if "goal_s" not in request:
             raise protocol.ProtocolError("set-goal needs a 'goal_s' (number or null)")
         goal = request["goal_s"]
-        if goal is not None and not isinstance(goal, (int, float)):
-            raise protocol.ProtocolError(f"goal_s must be a number or null, got {goal!r}")
+        new = None if goal is None else protocol.finite_goal(goal, "goal_s")
         old = self.sim.goal_s
-        new = float(goal) if goal is not None else None
         self.sim.set_goal(new)
         if self.sim.emit is not None:
             self.sim.emit(ServeGoalChanged(
@@ -367,7 +367,10 @@ class ServeDaemon:
         plan = fault_plan_from_dict(plan_data)
         if plan.empty:
             raise protocol.ProtocolError("inject-fault plan injects nothing")
-        if request.get("relative", True):
+        relative = request.get("relative", True)
+        if not isinstance(relative, bool):
+            raise protocol.ProtocolError(f"relative must be true or false, got {relative!r}")
+        if relative:
             plan = shift_fault_plan(plan, self.sim.engine.now)
         self.sim.inject_faults(plan)
         if self.sim.emit is not None:
@@ -407,11 +410,22 @@ class ServeDaemon:
                 kind = IoKind.WRITE
             else:
                 raise protocol.ProtocolError(f"bad kind {kind_raw!r} (read|write)")
+            extent = _int_field(data["extent"], "extent")
+            offset = _int_field(data.get("offset", 0), "offset")
+            size = _int_field(data.get("size", 4096), "size")
+            # Checked here, before inject_request touches any state: the
+            # policy folds ``size`` into float statistics on arrival (a
+            # 400-digit size would raise there, half-admitted), and a
+            # size of 2**62 keeps one disk busy for ~1e10 simulated
+            # seconds, so the shutdown drain would never finish.
+            extent_bytes = self.sim.array.config.extent_bytes
+            if offset < 0 or size < 1 or offset + size > extent_bytes:
+                raise protocol.ProtocolError(
+                    f"offset {offset} + size {size} must address bytes inside "
+                    f"one {extent_bytes}-byte extent (offset >= 0, size >= 1)"
+                )
             req_id = self.sim.inject_request(
-                kind=kind,
-                extent=int(data["extent"]),
-                offset=int(data.get("offset", 0)),
-                size=int(data.get("size", 4096)),
+                kind=kind, extent=extent, offset=offset, size=size,
             )
         except KeyError as exc:
             self.ingest_errors += 1
@@ -440,6 +454,14 @@ class ServeDaemon:
         while self._event_ptr < len(events):
             self._writer.write(events[self._event_ptr])
             self._event_ptr += 1
+
+
+def _int_field(value: Any, name: str) -> int:
+    """An ingest field that must be a JSON integer (not a bool or float),
+    so ``3.7`` or ``true`` is rejected instead of truncated to an extent."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise protocol.ProtocolError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
 def run_replay_quiet(

@@ -5,15 +5,14 @@ that points nowhere near this file.
 """
 
 from repro.analysis.parallel import execute
-from repro.fleet.spec import FleetSpec
 
 
 def fanout_with_lambda(specs):
     return execute(specs, key=lambda spec: spec.seed)
 
 
-def fleet_with_local_def(num_arrays):
-    def pick_policy(array_index):
-        return "pdc"
+def fanout_with_local_def(specs):
+    def spec_seed(spec):
+        return spec.seed
 
-    return FleetSpec(num_arrays=num_arrays, policy=pick_policy)
+    return execute(specs, key=spec_seed)

@@ -1,7 +1,6 @@
 """Ok: fan-out arguments are module-level (picklable) or plain data."""
 
 from repro.analysis.parallel import execute
-from repro.fleet.spec import FleetSpec
 
 
 def spec_seed(spec):
@@ -12,5 +11,5 @@ def fanout_with_function(specs):
     return execute(specs, key=spec_seed)
 
 
-def fleet_with_registry_name(num_arrays):
-    return FleetSpec(num_arrays=num_arrays, policy="pdc")
+def fanout_with_plain_data(specs):
+    return execute(list(specs), jobs=2)

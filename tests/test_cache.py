@@ -219,84 +219,3 @@ class TestRunSpecKeyCompleteness:
             spec, **{name: _RUN_PERTURB[name](getattr(spec, name))})
         assert content_key(spec) != content_key(changed), (
             f"RunSpec.{name} does not reach the cache key")
-
-
-def _fleet_spec():
-    from repro.fleet.spec import FleetSpec
-
-    return FleetSpec(
-        num_arrays=2,
-        trace=_fleet_trace(2),
-        array=_array_config(),
-        policy=_policy_spec("base"),
-    )
-
-
-def _fleet_trace(num_arrays):
-    from repro.analysis.parallel import TraceSpec
-    from repro.traces.synthetic import SyntheticConfig
-
-    return TraceSpec.from_generator(
-        "synthetic", SyntheticConfig(duration=10.0, num_extents=num_arrays * 80))
-
-
-def _fleet_fault_plan():
-    from repro.fleet.faults import CorrelatedFailure, FleetFaultPlan
-
-    return FleetFaultPlan(
-        correlated_failures=(CorrelatedFailure(time_s=1.0, disk=0),))
-
-
-def _fleet_spec_fields():
-    from repro.fleet.spec import FleetSpec
-
-    return dataclasses.fields(FleetSpec)
-
-
-_FLEET_PERTURB = {
-    # num_arrays also resizes the global extent space the trace must
-    # address, so the perturbation adjusts both coherently.
-    "num_arrays": lambda spec: dataclasses.replace(
-        spec, num_arrays=spec.num_arrays + 1,
-        trace=_fleet_trace(spec.num_arrays + 1)),
-    "trace": lambda spec: dataclasses.replace(
-        spec, trace=dataclasses.replace(
-            spec.trace,
-            config=dataclasses.replace(spec.trace.config,
-                                       seed=spec.trace.config.seed + 1))),
-    "array": lambda spec: dataclasses.replace(
-        spec, array=dataclasses.replace(spec.array, seed=spec.array.seed + 1)),
-    "policy": lambda spec: dataclasses.replace(spec, policy=_policy_spec("tpm")),
-    "partitioner": lambda spec: dataclasses.replace(spec, partitioner="stripe"),
-    "goal_s": lambda spec: dataclasses.replace(spec, goal_s=0.25),
-    "window_s": lambda spec: dataclasses.replace(spec, window_s=60.0),
-    "keep_latency_samples": lambda spec: dataclasses.replace(
-        spec, keep_latency_samples=not spec.keep_latency_samples),
-    "observe": lambda spec: dataclasses.replace(spec, observe=not spec.observe),
-    "faults": lambda spec: dataclasses.replace(spec, faults=_fleet_fault_plan()),
-    "seed": lambda spec: dataclasses.replace(spec, seed=spec.seed + 1),
-}
-
-
-class TestFleetSpecKeyCompleteness:
-    @pytest.mark.parametrize("name", [
-        f.name for f in _fleet_spec_fields()])
-    def test_every_field_perturbs_the_key(self, name):
-        assert name in _FLEET_PERTURB, (
-            f"new FleetSpec field {name!r} has no perturbation registered; "
-            "add one here and confirm it reaches the cache key")
-        spec = _fleet_spec()
-        changed = _FLEET_PERTURB[name](spec)
-        assert content_key(spec) != content_key(changed), (
-            f"FleetSpec.{name} does not reach the cache key: two fleets "
-            "differing only in it would alias to one cached result")
-
-    def test_fleet_fault_plan_fields_reach_the_key(self):
-        from repro.fleet.faults import CorrelatedFailure, FleetFaultPlan
-
-        base = _fleet_fault_plan()
-        assert content_key(base) != content_key(
-            dataclasses.replace(base, seed=base.seed + 1))
-        assert content_key(base) != content_key(FleetFaultPlan(
-            correlated_failures=(
-                CorrelatedFailure(time_s=1.0, disk=0, stagger_s=2.0),)))

@@ -260,6 +260,24 @@ def test_serve_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("command", ["serve", "ctl"])
+@pytest.mark.parametrize("goal", ["nan", "inf", "-inf", "1e400", "0", "-5"])
+def test_goal_ms_must_be_finite_and_positive(tmp_path, capsys, command, goal):
+    """Both --goal-ms flags apply set-goal's check: a NaN or infinite goal
+    would disable the boost, and ctl would send NaN as null (clearing it)."""
+    sock = str(tmp_path / "c.sock")
+    if command == "serve":
+        argv = ["serve", "--kind", "synthetic", "--duration", "5", "--rate", "10",
+                "--extents", "80", "--disks", "4", "--exit-on-drain", "--control", sock]
+    else:
+        argv = ["ctl", "set-goal", "--retry", "0.1", "--control", sock]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, f"--goal-ms={goal}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--goal-ms" in err and "must be a finite number > 0" in err
+
+
 def test_ctl_unreachable_daemon(tmp_path, capsys):
     missing = str(tmp_path / "nowhere.sock")
     assert main(["ctl", "ping", "--control", missing, "--retry", "0.1"]) == 1

@@ -100,16 +100,21 @@ def test_mutation_unclosed_socket_trips_res001(tmp_path):
     assert "socket.socket" in result.findings[0].message
 
 
-def test_mutation_lambda_in_fleetspec_trips_conc002(tmp_path):
-    mutated = tmp_path / "fleet_lambda.py"
+def test_mutation_local_def_in_execute_trips_conc002(tmp_path):
+    """A local def nested inside the spec list still crosses the pickle
+    boundary: the rule looks into every argument, not just the top."""
+    mutated = tmp_path / "local_def_fanout.py"
     mutated.write_text(
-        "from repro.fleet.spec import FleetSpec\n\n"
-        "def build():\n"
-        "    return FleetSpec(num_arrays=4, policy=lambda array: 'pdc')\n"
+        "import dataclasses\n\n"
+        "from repro.analysis.parallel import execute\n\n"
+        "def run_all(specs):\n"
+        "    def pick(trace, array):\n"
+        "        return 'pdc'\n\n"
+        "    return execute([dataclasses.replace(s, policy=pick) for s in specs], jobs=2)\n"
     )
     result = lint([mutated], select=["CONC002"])
     assert [f.rule_id for f in result.findings] == ["CONC002"]
-    assert "lambda" in result.findings[0].message
+    assert "function-local def 'pick'" in result.findings[0].message
 
 
 def _git(repo: Path, *args: str) -> None:

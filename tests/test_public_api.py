@@ -24,8 +24,6 @@ MODULES = [
     "repro.policies.tpm", "repro.policies.drpm", "repro.policies.pdc",
     "repro.policies.maid", "repro.policies.oracle",
     "repro.faults", "repro.faults.plan", "repro.faults.injector",
-    "repro.fleet", "repro.fleet.spec", "repro.fleet.partition",
-    "repro.fleet.faults", "repro.fleet.executor", "repro.fleet.result",
     "repro.core", "repro.core.temperature", "repro.core.response_model",
     "repro.core.speed_setting", "repro.core.layout", "repro.core.migration",
     "repro.core.guarantee", "repro.core.hibernator",
@@ -46,8 +44,7 @@ MODULES = [
     "repro.lint.rules.obspairing", "repro.lint.rules.perf",
     "repro.lint.rules.protocol", "repro.lint.rules.resources",
     "repro.lint.rules.concurrency",
-    "repro.perf", "repro.perf.scenarios", "repro.perf.harness",
-    "repro.perf.digest", "repro.perf.profiling",
+    "repro.perf", "repro.perf.scenarios", "repro.perf.digest",
     "repro.cli",
 ]
 

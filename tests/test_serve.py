@@ -277,6 +277,139 @@ class TestMisbehavingClients:
                 client.shutdown()
 
 
+
+def _begun_daemon(small_config, tmp_path, *, live=False):
+    """A daemon whose sim has begun but whose loop never runs, so its
+    handlers can be driven one line at a time."""
+    sim, daemon = serving(small_config, tmp_path, live=live)
+    sim.begin()
+    return sim, daemon
+
+
+#: An integer literal no float can hold; float() on it raises OverflowError.
+_BIG_INT = "1" + "0" * 400
+
+_TRANSIENT_PLAN = ('{"transient_faults": [{"start_s": 0.0, "end_s": 10.0, '
+                   '"probability": 0.5}]}')
+
+
+class TestMalformedControlInput:
+    def test_nan_goal_is_refused_and_the_connection_lives_on(self, small_config, tmp_path):
+        sim, daemon = serving(small_config, tmp_path)
+        with ServeThread(daemon):
+            # The client's connect retries until the daemon is listening.
+            with ServeClient.connect(tmp_path / "ctl.sock") as client:
+                with _raw_connection(tmp_path / "ctl.sock") as sock:
+                    sock.sendall(b'{"cmd": "set-goal", "goal_s": NaN}\n')
+                    lines, closed = _lines_until_eof(sock, want=1)
+                    assert not closed
+                    reply = protocol.decode_line(lines[0])
+                    assert reply["ok"] is False and "NaN" in reply["error"]
+                    sock.sendall(protocol.encode_line({"cmd": "ping"}))
+                    lines, closed = _lines_until_eof(sock, want=1)
+                    assert protocol.decode_line(lines[0])["data"]["pong"] is True
+                assert client.status()["goal_s"] == 0.2
+                client.shutdown()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_decode_rejects_non_finite_literals(self, literal):
+        with pytest.raises(protocol.ProtocolError, match="not strict JSON"):
+            protocol.decode_line(f'{{"cmd": "set-goal", "goal_s": {literal}}}')
+
+    @pytest.mark.parametrize("goal", ["true", "1e400", "0", "-0.5", '"0.5"'],
+                             ids=["bool", "overflow-float", "zero", "negative", "string"])
+    def test_goal_must_be_a_finite_positive_number(self, small_config, tmp_path, goal):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        reply = daemon._dispatch(f'{{"cmd": "set-goal", "goal_s": {goal}}}'.encode())
+        assert reply["ok"] is False and "goal_s must be" in reply["error"]
+        assert sim.goal_s == 0.2
+
+    @pytest.mark.parametrize("line, allowed", [
+        ('{"cmd": "set-goal", "goal_s": 0.5, "goal_ms": 5}', "goal_s"),
+        ('{"cmd": "inject-fault", "plan": %s, "relativ": false}' % _TRANSIENT_PLAN,
+         "plan, relative"),
+        ('{"cmd": "ping", "verbose": true}', "none"),
+    ], ids=["set-goal-goal_ms", "inject-fault-relativ", "ping-verbose"])
+    def test_undeclared_fields_are_rejected(self, small_config, tmp_path, line, allowed):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        reply = daemon._dispatch(line.encode())
+        assert reply["ok"] is False
+        assert f"allowed fields: {allowed}" in reply["error"]
+        assert sim.goal_s == 0.2 and sim.injector is None
+
+    @pytest.mark.parametrize("relative", ['"no"', "0", "null"])
+    def test_relative_must_be_a_json_bool(self, small_config, tmp_path, relative):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        line = '{"cmd": "inject-fault", "plan": %s, "relative": %s}' % (_TRANSIENT_PLAN, relative)
+        reply = daemon._dispatch(line.encode())
+        assert reply["ok"] is False and "relative must be" in reply["error"]
+        assert sim.injector is None
+
+    @pytest.mark.parametrize("line", [
+        '{"cmd": "set-goal", "goal_s": %s}' % _BIG_INT,
+        '{"cmd": "inject-fault", "plan": {"disk_failures": [{"time_s": %s, "disk": 0}]}}' % _BIG_INT,
+    ], ids=["goal", "fault-time"])
+    def test_integer_beyond_float_range_is_refused(self, small_config, tmp_path, line):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        reply = daemon._dispatch(line.encode())
+        assert reply["ok"] is False and "too large" in reply["error"]
+        assert sim.goal_s == 0.2 and sim.injector is None
+
+
+class TestMalformedIngestInput:
+    @pytest.mark.parametrize("line", [
+        '{"extent": 3.7}',
+        '{"extent": true}',
+        '{"extent": "3"}',
+        '{"extent": 1, "size": 4096.9}',
+        '{"extent": 1, "offset": 1.5}',
+        '{"extent": 1, "size": false}',
+    ], ids=["extent-float", "extent-bool", "extent-string", "size-float",
+            "offset-float", "size-bool"])
+    def test_ingest_fields_must_be_json_integers(self, small_config, tmp_path, line):
+        sim, daemon = _begun_daemon(small_config, tmp_path, live=True)
+        reply = daemon._ingest_line(line.encode())
+        assert reply["ok"] is False and "must be an integer" in reply["error"]
+        assert daemon.ingested == 0 and daemon.ingest_errors == 1
+
+    @pytest.mark.parametrize("fields", [
+        '"size": %s' % _BIG_INT,
+        '"size": %d' % (2**62),
+        '"size": 0',
+        '"offset": -1',
+        '"offset": %d' % (1 << 20),
+        '"offset": %d, "size": 4096' % ((1 << 20) - 4095),
+    ], ids=["size-beyond-float", "size-beyond-extent", "size-zero",
+            "offset-negative", "offset-past-extent", "straddles-extent-end"])
+    def test_request_outside_one_extent_is_refused_before_admission(
+            self, small_config, tmp_path, fields):
+        sim, daemon = _begun_daemon(small_config, tmp_path, live=True)
+        size_n = sim.policy._size_n
+        reply = daemon._ingest_line(f'{{"extent": 1, {fields}}}'.encode())
+        assert reply["ok"] is False and "inside one 1048576-byte extent" in reply["error"]
+        # Nothing of the refused request reached the simulation: no
+        # outstanding count the shutdown drain would wait on for ever,
+        # no sample in the policy's size statistics.
+        assert sim.outstanding == 0 and sim.injected_requests == 0
+        assert sim.policy._size_n == size_n
+        assert daemon.ingested == 0 and daemon.ingest_errors == 1
+        # A well-formed request still goes through afterwards.
+        assert daemon._ingest_line(b'{"extent": 1, "size": 4096}')["ok"] is True
+        assert sim.outstanding == 1 and sim.policy._size_n == size_n + 1
+
+    def test_refused_request_leaves_shutdown_working(self, small_config, tmp_path):
+        sim, daemon = serving(small_config, tmp_path, accel=500.0, live=True)
+        with ServeThread(daemon) as st:
+            with ServeClient.connect(tmp_path / "feed.sock") as feed:
+                assert feed.request({"extent": 1, "size": 10**400})["ok"] is False
+                assert feed.request({"extent": 1, "size": 4096})["ok"] is True
+            with ServeClient.connect(tmp_path / "ctl.sock") as client:
+                client.shutdown()
+        # Leaving ServeThread joined the daemon (it raises if the drain
+        # never finishes): only the accepted request was served.
+        assert st.result.num_requests == 1 and sim.outstanding == 0
+
+
 class TestShutdownDrains:
     def test_shutdown_drains_in_flight_and_finalizes(self, small_config, tmp_path):
         # A tiny accel keeps nearly the whole trace unserved at shutdown
