@@ -26,10 +26,10 @@ from repro.disks.specs import ultrastar_36z15
 from repro.faults.plan import FaultPlan
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.base import PowerPolicy
-from repro.policies.drpm import DrpmConfig, DrpmPolicy
+from repro.policies.drpm import DrpmPolicy
 from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
 from repro.policies.pdc import PdcConfig, PdcPolicy
-from repro.policies.tpm import TpmConfig, TpmPolicy
+from repro.policies.tpm import TpmPolicy
 from repro.sim.runner import ArraySimulation, SimulationResult
 from repro.traces.model import Trace
 from repro.traces.tracestats import per_extent_rates
@@ -121,29 +121,23 @@ def standard_policies(
     trace: Trace,
     array_config: ArrayConfig,
     hibernator_config: HibernatorConfig | None = None,
-    prime_hibernator: bool = True,
-    tpm_config: "TpmConfig | None" = None,
-    drpm_config: "DrpmConfig | None" = None,
-    pdc_config: "PdcConfig | None" = None,
-    maid_config: MaidConfig | None = None,
 ) -> list[tuple[PowerPolicy, ArrayConfig]]:
     """The paper's comparison set (minus Base, which derives the goal).
 
     Returns (policy, array_config) pairs because MAID needs its cache
-    disks excluded from initial placement. PDC's re-ranking period
-    defaults to Hibernator's epoch so the adaptive schemes act on the
-    same timescale.
+    disks excluded from initial placement. PDC's re-ranking period is
+    Hibernator's epoch so the adaptive schemes act on the same
+    timescale, and Hibernator is primed with the trace's heat unless
+    ``hibernator_config`` already carries ``prime_rates``.
     """
     hib_cfg = hibernator_config or HibernatorConfig()
-    if prime_hibernator and hib_cfg.prime_rates is None:
+    if hib_cfg.prime_rates is None:
         hib_cfg = replace(hib_cfg, prime_rates=per_extent_rates(trace))
-    if pdc_config is None:
-        pdc_config = PdcConfig(period_s=hib_cfg.epoch_seconds)
-    maid_cfg = maid_config or MaidConfig()
+    maid_cfg = MaidConfig()
     return [
-        (TpmPolicy(tpm_config), array_config),
-        (DrpmPolicy(drpm_config), array_config),
-        (PdcPolicy(pdc_config), array_config),
+        (TpmPolicy(), array_config),
+        (DrpmPolicy(), array_config),
+        (PdcPolicy(PdcConfig(period_s=hib_cfg.epoch_seconds)), array_config),
         (MaidPolicy(maid_cfg), maid_array_config(array_config, maid_cfg.num_cache_disks)),
         (HibernatorPolicy(hib_cfg), array_config),
     ]
@@ -253,19 +247,6 @@ def run_comparison(
         faults: fault plan applied to *every* run, Base included, so
             all schemes face the identical failure scenario.
     """
-    if jobs == 1 and cache is None:
-        goal_s, base_result = derive_goal(trace, array_config, slack, observe=observe,
-                                          faults=faults)
-        comparison = ComparisonResult(goal_s=goal_s, slack=slack)
-        comparison.results["Base"] = base_result
-        if schemes is None:
-            schemes = standard_policies(trace, array_config, hibernator_config)
-        for policy, config in schemes:
-            result = run_single(trace, config, policy, goal_s=goal_s,
-                                window_s=window_s, observe=observe, faults=faults)
-            comparison.results[result.policy_name] = result
-        return comparison
-
     from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, execute_one
 
     if slack < 1.0:

@@ -202,8 +202,8 @@ POLICY_FACTORIES: dict[str, Callable[..., PowerPolicy]] = {
     "drpm": lambda trace, **kw: DrpmPolicy(kw.pop("config", None) or DrpmConfig(**kw)),
     "pdc": lambda trace, **kw: PdcPolicy(kw.pop("config", None) or PdcConfig(**kw)),
     "maid": lambda trace, **kw: MaidPolicy(kw.pop("config", None) or MaidConfig(**kw)),
-    "oracle": lambda trace, **kw: OraclePolicy(**kw),
     "hibernator": _make_hibernator,
+    "oracle": lambda trace, **kw: OraclePolicy(**kw),
 }
 
 

@@ -39,41 +39,30 @@ from repro.analysis.experiments import (
     run_comparison,
     run_single,
 )
+from repro.analysis.parallel import POLICY_FACTORIES, TRACE_GENERATORS, PolicySpec
 from repro.analysis.report import format_kv, format_series, format_table
-from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
+from repro.core.hibernator import HibernatorConfig
 from repro.policies.always_on import AlwaysOnPolicy
-from repro.policies.base import PowerPolicy
-from repro.policies.drpm import DrpmPolicy
-from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
-from repro.policies.oracle import OraclePolicy
-from repro.policies.pdc import PdcConfig, PdcPolicy
-from repro.policies.tpm import TpmConfig, TpmPolicy
+from repro.serve.protocol import COMMANDS, ProtocolError, finite_goal
 from repro.sim.runner import SimulationResult
-from repro.traces.cello import CelloConfig, generate_cello
+from repro.traces.cello import CelloConfig
 from repro.traces.io import load_trace, save_trace
 from repro.traces.model import Trace
-from repro.traces.oltp import OltpConfig, generate_oltp
+from repro.traces.oltp import OltpConfig
 from repro.traces.synthetic import (
     FlashCrowdConfig,
     MultiTenantConfig,
     SyntheticConfig,
     WriteBurstConfig,
-    generate_flash_crowd,
-    generate_multi_tenant,
-    generate_synthetic,
-    generate_write_burst,
 )
-from repro.traces.tracestats import compute_trace_stats, per_extent_rates
+from repro.traces.tracestats import compute_trace_stats
 
-POLICY_NAMES = ("base", "tpm", "drpm", "pdc", "maid", "hibernator", "oracle")
-CTL_COMMANDS = ("ping", "status", "set-goal", "inject-fault", "force-boost", "shutdown")
-TRACE_KINDS = ("oltp", "cello", "synthetic", "flashcrowd", "multitenant", "writeburst")
 INGEST_FORMAT_NAMES = ("msr", "blkparse", "csv")
 
 
 def _add_trace_source(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--trace", help="trace file (from gen-trace); omit to generate inline")
-    parser.add_argument("--kind", choices=TRACE_KINDS, default="oltp",
+    parser.add_argument("--kind", choices=tuple(TRACE_GENERATORS), default="oltp",
                         help="inline generator kind (default: oltp)")
     parser.add_argument("--duration", type=float, default=900.0,
                         help="inline trace duration in seconds")
@@ -95,8 +84,6 @@ def _goal_ms(text: str) -> float:
     """``--goal-ms`` on ``serve`` and ``ctl``: the daemon's ``set-goal``
     check (finite, > 0), so ``nan`` or ``inf`` exits 2 here instead of
     running without a usable goal or reaching the wire as null."""
-    from repro.serve.protocol import ProtocolError, finite_goal
-
     try:
         return finite_goal(float(text), "value")
     except ProtocolError as exc:
@@ -155,6 +142,20 @@ def _load_faults(args: argparse.Namespace):
     return load_fault_plan(args.faults)
 
 
+def _add_epoch_options(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--epoch", type=float, default=600.0, help="epoch/period seconds")
+    parser.add_argument("--migration", choices=("shuffle", "sorted", "none"),
+                        default="shuffle")
+
+
+def _add_policy_options(parser: argparse.ArgumentParser) -> None:
+    """``--policy`` and the knobs :func:`_policy_spec` reads from ``args``."""
+    parser.add_argument("--policy", choices=tuple(POLICY_FACTORIES), default="hibernator")
+    _add_epoch_options(parser)
+    parser.add_argument("--no-prime", dest="prime", action="store_false",
+                        help="skip heat priming (start with an observation epoch)")
+
+
 def _add_array_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--disks", type=int, default=8, help="array width")
     parser.add_argument("--speed-levels", type=int, default=5,
@@ -201,20 +202,10 @@ def _inline_config(kind: str, duration: float, rate: float, extents: int, seed: 
                            num_extents=extents, seed=seed)
 
 
-_GENERATORS = {
-    "oltp": generate_oltp,
-    "cello": generate_cello,
-    "synthetic": generate_synthetic,
-    "flashcrowd": generate_flash_crowd,
-    "multitenant": generate_multi_tenant,
-    "writeburst": generate_write_burst,
-}
-
-
 def _generate(args: argparse.Namespace) -> Trace:
     config = _inline_config(args.kind, args.duration, args.rate,
                             args.extents, args.seed)
-    return _GENERATORS[args.kind](config)
+    return TRACE_GENERATORS[args.kind][1](config)
 
 
 def _array_config(args: argparse.Namespace, num_extents: int):
@@ -231,28 +222,15 @@ def _array_config(args: argparse.Namespace, num_extents: int):
     return config
 
 
-def _build_policy(name: str, args: argparse.Namespace, trace: Trace,
-                  array_config) -> tuple[PowerPolicy, object]:
-    """Policy instance plus the (possibly adjusted) array config."""
-    if name == "base":
-        return AlwaysOnPolicy(), array_config
-    if name == "tpm":
-        return TpmPolicy(TpmConfig()), array_config
-    if name == "drpm":
-        return DrpmPolicy(), array_config
-    if name == "pdc":
-        return PdcPolicy(PdcConfig(period_s=args.epoch)), array_config
-    if name == "maid":
-        maid_cfg = MaidConfig()
-        return MaidPolicy(maid_cfg), maid_array_config(array_config, maid_cfg.num_cache_disks)
-    if name == "oracle":
-        return OraclePolicy(epoch_seconds=args.epoch), array_config
-    hib = HibernatorConfig(
-        epoch_seconds=args.epoch,
-        migration=args.migration,
-        prime_rates=per_extent_rates(trace) if args.prime else None,
-    )
-    return HibernatorPolicy(hib), array_config
+def _policy_spec(args: argparse.Namespace) -> PolicySpec:
+    """``--policy`` as a named spec, with the CLI knobs that policy takes."""
+    params = {
+        "pdc": {"period_s": args.epoch},
+        "oracle": {"epoch_seconds": args.epoch},
+        "hibernator": {"epoch_seconds": args.epoch, "migration": args.migration,
+                       "prime": args.prime},
+    }.get(args.policy, {})
+    return PolicySpec.named(args.policy, **params)
 
 
 def _result_block(result: SimulationResult, base: SimulationResult | None,
@@ -364,7 +342,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.policy != "base" and args.slack is not None:
         base = run_single(trace, config, AlwaysOnPolicy(), faults=faults)
         goal = args.slack * base.mean_response_s
-    policy, policy_config = _build_policy(args.policy, args, trace, config)
+    policy, policy_config = _policy_spec(args).build(trace, config)
     result = run_single(trace, policy_config, policy, goal_s=goal,
                         observe=bool(args.trace_out), faults=faults)
     if args.trace_out:
@@ -484,7 +462,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
     goal = args.goal_ms / 1e3 if args.goal_ms is not None else None
-    policy, policy_config = _build_policy(args.policy, args, trace, config)
+    policy, policy_config = _policy_spec(args).build(trace, config)
     sim = ArraySimulation(
         trace, policy_config, policy, goal_s=goal,
         observe=bool(args.trace_out), faults=_load_faults(args),
@@ -518,7 +496,6 @@ def cmd_ctl(args: argparse.Namespace) -> int:
     import json
 
     from repro.serve.client import ServeClient
-    from repro.serve.protocol import ProtocolError
 
     params: dict[str, object] = {}
     if args.ctl_command == "set-goal":
@@ -668,27 +645,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run one policy on a trace")
     _add_trace_source(p)
     _add_array_options(p)
-    p.add_argument("--policy", choices=POLICY_NAMES, default="hibernator")
+    _add_policy_options(p)
     p.add_argument("--slack", type=float, default=2.0,
                    help="response-time goal as a multiple of Base's mean "
                         "(ignored for --policy base)")
-    p.add_argument("--epoch", type=float, default=600.0, help="epoch/period seconds")
-    p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
-                   default="shuffle")
-    p.add_argument("--no-prime", dest="prime", action="store_false",
-                   help="skip heat priming (start with an observation epoch)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     _add_faults_option(p)
     _add_trace_out(p)
-    p.set_defaults(func=cmd_run, prime=True)
+    p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("compare", help="run the full scheme comparison")
     _add_trace_source(p)
     _add_array_options(p)
     p.add_argument("--slack", type=float, default=2.0)
-    p.add_argument("--epoch", type=float, default=600.0)
-    p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
-                   default="shuffle")
+    _add_epoch_options(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--csv", help="write per-scheme CSV to this path")
     _add_faults_option(p)
@@ -701,9 +671,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_array_options(p)
     p.add_argument("--slacks", default="1.25,1.5,2.0,3.0",
                    help="comma-separated slack multipliers")
-    p.add_argument("--epoch", type=float, default=600.0)
-    p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
-                   default="shuffle")
+    _add_epoch_options(p)
     _add_parallel_options(p)
     _add_trace_out(p)
     p.set_defaults(func=cmd_sweep_slack)
@@ -715,9 +683,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "replay a trace (as fast as possible at --accel 0, "
                     "wall-clock paced at --accel N) or serve a live "
                     "request feed (--live with --ingest), while a control "
-                    "socket accepts status / set-goal / inject-fault / "
-                    "force-boost / shutdown commands (drive it with "
-                    "'repro ctl'). At --accel 0 the replay result is "
+                    "socket accepts the commands docs/serve.md lists "
+                    "(drive it with 'repro ctl'). At --accel 0 the replay "
+                    "result is "
                     "byte-identical to 'repro run' on the same trace.",
     )
     _add_trace_source(p)
@@ -741,16 +709,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exit-on-drain", action="store_true",
                    help="exit when the replay workload drains instead of "
                         "waiting for a shutdown command")
-    p.add_argument("--policy", choices=POLICY_NAMES, default="hibernator")
-    p.add_argument("--epoch", type=float, default=600.0, help="epoch/period seconds")
-    p.add_argument("--migration", choices=("shuffle", "sorted", "none"),
-                   default="shuffle")
-    p.add_argument("--no-prime", dest="prime", action="store_false",
-                   help="skip heat priming (start with an observation epoch)")
+    _add_policy_options(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     _add_faults_option(p)
     _add_trace_out(p)
-    p.set_defaults(func=cmd_serve, prime=True)
+    p.set_defaults(func=cmd_serve)
 
     p = sub.add_parser(
         "ctl",
@@ -759,8 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "the daemon's JSON response; exits 1 when the daemon "
                     "is unreachable or refuses the command.",
     )
-    p.add_argument("ctl_command", choices=CTL_COMMANDS, metavar="command",
-                   help=f"one of: {', '.join(CTL_COMMANDS)}")
+    p.add_argument("ctl_command", choices=tuple(COMMANDS), metavar="command",
+                   help=f"one of: {', '.join(COMMANDS)}")
     p.add_argument("--control", required=True, help="daemon control socket path")
     p.add_argument("--goal-ms", type=_goal_ms, default=None,
                    help="set-goal: new goal in ms")
@@ -874,8 +837,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Whole-program static analysis enforcing the repo's "
                     "reproduction invariants: determinism (DET*), unit "
                     "consistency (UNIT*), cache-key completeness (CACHE*), "
-                    "observability pairing (OBS*), serve-protocol sync "
-                    "(PROTO*), resource lifecycle (RES*) and concurrency "
+                    "observability pairing (OBS*), the serve-protocol "
+                    "version guard (PROTO003), resource lifecycle (RES*) and concurrency "
                     "safety (CONC*). Exit codes: 0 no error-severity "
                     "findings (warnings are reported but non-fatal), "
                     "1 errors, 2 usage error.",

@@ -119,39 +119,15 @@ class FaultInjector:
     def install(self) -> None:
         """Attach fault state and schedule the plan's failure events.
 
-        Call once, before the run starts. A no-op for an empty plan.
+        Call once, before the run starts or (the serve path, through
+        :meth:`~repro.sim.runner.ArraySimulation.inject_faults`) mid-run.
+        A no-op for an empty plan. Raises ValueError, having changed
+        nothing, for a plan this array cannot take.
         """
         if self._installed:
             raise RuntimeError("FaultInjector.install() called twice")
+        self._apply(self.plan)
         self._installed = True
-        plan = self.plan
-        if plan.empty:
-            return
-        if plan.transient_faults or plan.slow_disk_faults:
-            child_seeds = np.random.SeedSequence(plan.seed).spawn(self.array.num_disks)
-            for i, disk in enumerate(self.array.disks):
-                transients = tuple(
-                    w for w in plan.transient_faults
-                    if w.disks is None or i in w.disks
-                )
-                slows = tuple(
-                    w for w in plan.slow_disk_faults
-                    if w.disks is None or i in w.disks
-                )
-                if transients or slows:
-                    disk.fault_state = DiskFaultState(
-                        retry=plan.retry,
-                        transients=transients,
-                        slows=slows,
-                        rng=np.random.default_rng(child_seeds[i]),
-                    )
-        for failure in plan.disk_failures:
-            if not 0 <= failure.disk < self.array.num_disks:
-                raise ValueError(
-                    f"fault plan fails disk {failure.disk}, but the array "
-                    f"has {self.array.num_disks} disks"
-                )
-            self.engine.schedule(failure.time_s, self._fail, failure.disk)
 
     def add_plan(self, plan: FaultPlan) -> None:
         """Install another plan mid-run (the serve ``inject-fault`` path).
@@ -162,24 +138,42 @@ class FaultInjector:
         plan). The run's original rebuild/retry knobs stay in force: a
         runtime plan adds faults, it does not renegotiate how the array
         reacts to them. A disk already failed (or failed twice across
-        plans) no-ops, same as within one plan's schedule.
+        plans) no-ops, same as within one plan's schedule. A refused
+        plan changes nothing.
         """
         if not self._installed:
             raise RuntimeError("add_plan() before install()")
-        if plan.empty:
-            return
+        self._apply(plan)
+
+    def _check(self, plan: FaultPlan) -> None:
+        """Refuse a plan this array cannot take. Runs before anything of
+        the plan is applied, so a refusal leaves no fault state and no
+        scheduled failure behind (the plan's own fields, seed included,
+        were checked when it was built)."""
+        num_disks = self.array.num_disks
         now = self.engine.now
         for failure in plan.disk_failures:
-            if not 0 <= failure.disk < self.array.num_disks:
+            if failure.disk >= num_disks:
                 raise ValueError(
                     f"fault plan fails disk {failure.disk}, but the array "
-                    f"has {self.array.num_disks} disks"
+                    f"has {num_disks} disks"
                 )
             if failure.time_s < now:
                 raise ValueError(
                     f"disk {failure.disk} failure at t={failure.time_s} is in "
                     f"the past (now={now}); shift the plan forward"
                 )
+        for window in (*plan.transient_faults, *plan.slow_disk_faults):
+            if window.disks is not None and any(d >= num_disks for d in window.disks):
+                raise ValueError(
+                    f"fault window names disks {list(window.disks)}, but the "
+                    f"array has {num_disks} disks"
+                )
+
+    def _apply(self, plan: FaultPlan) -> None:
+        if plan.empty:
+            return
+        self._check(plan)
         if plan.transient_faults or plan.slow_disk_faults:
             child_seeds = np.random.SeedSequence(plan.seed).spawn(self.array.num_disks)
             for i, disk in enumerate(self.array.disks):

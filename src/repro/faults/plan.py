@@ -25,10 +25,14 @@ from typing import Any
 from repro.disks.scheduling import RetryPolicy
 
 
-def _as_disk_tuple(disks: Any) -> tuple[int, ...] | None:
-    if disks is None:
-        return None
-    return tuple(int(d) for d in disks)
+def _is_int(value: Any) -> bool:
+    """An integer that is not a bool (JSON ``true`` is a Python int)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_window_disks(disks: tuple[int, ...] | None) -> None:
+    if disks is not None and not all(_is_int(d) and d >= 0 for d in disks):
+        raise ValueError(f"window disks must be integers >= 0, got {disks!r}")
 
 
 @dataclass(frozen=True)
@@ -41,8 +45,8 @@ class DiskFailure:
     def __post_init__(self) -> None:
         if self.time_s < 0:
             raise ValueError(f"DiskFailure.time_s must be >= 0, got {self.time_s}")
-        if self.disk < 0:
-            raise ValueError(f"DiskFailure.disk must be >= 0, got {self.disk}")
+        if not _is_int(self.disk) or self.disk < 0:
+            raise ValueError(f"DiskFailure.disk must be an integer >= 0, got {self.disk!r}")
 
 
 @dataclass(frozen=True)
@@ -70,6 +74,7 @@ class TransientFault:
             raise ValueError(
                 f"probability must be in [0, 1], got {self.probability}"
             )
+        _check_window_disks(self.disks)
 
 
 @dataclass(frozen=True)
@@ -90,6 +95,7 @@ class SlowDiskFault:
             raise ValueError(f"bad slow-disk window [{self.start_s}, {self.end_s})")
         if self.factor < 1.0:
             raise ValueError(f"factor must be >= 1, got {self.factor}")
+        _check_window_disks(self.disks)
 
 
 @dataclass(frozen=True)
@@ -104,8 +110,9 @@ class FaultPlan:
         retry: retry/backoff budget ops get against transient errors.
         rebuild: start/extend a :class:`RebuildManager` on each failure.
         rebuild_max_inflight: rebuild concurrency bound.
-        seed: base seed for the per-disk transient-error draws; spawned
-            per disk so jobs=2 runs stay byte-identical to jobs=1.
+        seed: base seed (an integer >= 0) for the per-disk
+            transient-error draws; spawned per disk so jobs=2 runs stay
+            byte-identical to jobs=1.
     """
 
     disk_failures: tuple[DiskFailure, ...] = ()
@@ -117,10 +124,13 @@ class FaultPlan:
     seed: int = 1234
 
     def __post_init__(self) -> None:
-        if self.rebuild_max_inflight < 1:
-            raise ValueError(
-                f"rebuild_max_inflight must be >= 1, got {self.rebuild_max_inflight}"
-            )
+        if not _is_int(self.rebuild_max_inflight) or self.rebuild_max_inflight < 1:
+            raise ValueError(f"rebuild_max_inflight must be an integer >= 1, "
+                             f"got {self.rebuild_max_inflight!r}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
+        if not isinstance(self.rebuild, bool):
+            raise ValueError(f"rebuild must be true or false, got {self.rebuild!r}")
         seen: set[int] = set()
         for failure in self.disk_failures:
             if failure.disk in seen:
@@ -169,18 +179,25 @@ def fault_plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
     return dataclasses.asdict(plan)
 
 
+def _disk_tuple(disks: Any) -> tuple[int, ...] | None:
+    return None if disks is None else tuple(disks)
+
+
 def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
     """Build a plan from the ``--faults`` JSON mapping.
 
     Unknown keys are rejected so a typo ('probabilty') fails loudly
-    instead of silently injecting nothing.
+    instead of silently injecting nothing. Integer and bool fields are
+    passed through as parsed, not coerced, so the plan's own checks
+    refuse ``"seed": 3.7``, ``"disk": true`` or ``"rebuild": "no"``
+    instead of reading them as 3, 1 and yes.
     """
     known = {f.name for f in dataclasses.fields(FaultPlan)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown FaultPlan keys {unknown}; known: {sorted(known)}")
     failures = tuple(
-        DiskFailure(time_s=float(d["time_s"]), disk=int(d["disk"]))
+        DiskFailure(time_s=float(d["time_s"]), disk=d["disk"])
         for d in data.get("disk_failures", ())
     )
     transients = tuple(
@@ -188,7 +205,7 @@ def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
             start_s=float(d["start_s"]),
             end_s=float(d["end_s"]),
             probability=float(d["probability"]),
-            disks=_as_disk_tuple(d.get("disks")),
+            disks=_disk_tuple(d.get("disks")),
         )
         for d in data.get("transient_faults", ())
     )
@@ -197,7 +214,7 @@ def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
             start_s=float(d["start_s"]),
             end_s=float(d["end_s"]),
             factor=float(d["factor"]),
-            disks=_as_disk_tuple(d.get("disks")),
+            disks=_disk_tuple(d.get("disks")),
         )
         for d in data.get("slow_disk_faults", ())
     )
@@ -208,9 +225,9 @@ def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
         transient_faults=transients,
         slow_disk_faults=slows,
         retry=retry,
-        rebuild=bool(data.get("rebuild", True)),
-        rebuild_max_inflight=int(data.get("rebuild_max_inflight", 2)),
-        seed=int(data.get("seed", 1234)),
+        rebuild=data.get("rebuild", True),
+        rebuild_max_inflight=data.get("rebuild_max_inflight", 2),
+        seed=data.get("seed", 1234),
     )
 
 

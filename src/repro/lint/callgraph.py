@@ -95,8 +95,6 @@ class SymbolTable:
         self.functions: dict[str, FunctionInfo] = {}
         self.classes: dict[str, ClassInfo] = {}
         self.aliases: dict[str, str] = {}
-        self._functions_by_name: dict[str, list[FunctionInfo]] = {}
-        self._classes_by_name: dict[str, list[ClassInfo]] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -124,7 +122,6 @@ class SymbolTable:
                     ctx=ctx,
                 )
                 self.classes[info.qualname] = info
-                self._classes_by_name.setdefault(stmt.name, []).append(info)
                 for member in stmt.body:
                     if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)):
                         method = self._add_function(ctx, member, class_name=stmt.name)
@@ -146,7 +143,6 @@ class SymbolTable:
             ctx=ctx,
         )
         self.functions[info.qualname] = info
-        self._functions_by_name.setdefault(node.name, []).append(info)
         return info
 
     # -- lookup --------------------------------------------------------------
@@ -181,14 +177,6 @@ class SymbolTable:
     def class_def(self, dotted: str) -> ClassInfo | None:
         """Class a dotted name refers to, through aliases, if known."""
         return self.classes.get(self.resolve(dotted))
-
-    def classes_named(self, name: str) -> list[ClassInfo]:
-        """Every class in the project with this bare name."""
-        return list(self._classes_by_name.get(name, ()))
-
-    def functions_named(self, name: str) -> list[FunctionInfo]:
-        """Every function/method in the project with this bare name."""
-        return list(self._functions_by_name.get(name, ()))
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ change, and both promises need git history to check:
 * ``repro.serve.protocol.PROTOCOL_VERSION`` is reported by ``ping`` so
   clients can refuse a daemon they don't speak — **PROTO003** parses
   the base and working-tree ``protocol.py`` and fails when the command
-  set (``COMMANDS``) or per-command request fields (``MESSAGE_FIELDS``)
-  changed while the version did not.
+  set or any command's request fields (``COMMANDS``) changed while the
+  version did not.
 
 Unlike the AST rules these need git history, so they run only when the
 CLI is given ``--guard-base`` (CI passes the PR base ref). Their
@@ -142,20 +142,22 @@ _PROTOCOL_MODULE = "src/repro/serve/protocol.py"
 
 
 def _protocol_surface(text: str) -> dict[str, Any] | None:
-    """The wire-contract constants of a ``protocol.py`` source text.
+    """The wire contract of a ``protocol.py`` source text.
 
-    Returns ``{"version": ..., "commands": ..., "fields": ...}`` with
-    literal values evaluated, or None when the text does not parse.
-    Constants the module does not define come back as None — a missing
-    registry is treated as "unknown", never as "unchanged".
+    Returns ``{"version": ..., "commands": ..., "fields": ...}``: the
+    ``PROTOCOL_VERSION`` literal, the set of command names and
+    ``{command: sorted request fields}``, or None when the text does not
+    parse. The contract is read from the one ``COMMANDS`` dict; an older
+    module that lists ``COMMANDS`` as a sequence and the fields in a
+    separate dict literal keyed by exactly those commands states the
+    same contract. Parts the module does not define come back as None —
+    "unknown", never "unchanged".
     """
     try:
         tree = ast.parse(text)
     except SyntaxError:
         return None
-    surface: dict[str, Any] = {"version": None, "commands": None, "fields": None}
-    keys = {"PROTOCOL_VERSION": "version", "COMMANDS": "commands",
-            "MESSAGE_FIELDS": "fields"}
+    literals: dict[str, Any] = {}
     for stmt in tree.body:
         targets: list[ast.expr] = []
         value: ast.expr | None = None
@@ -164,20 +166,28 @@ def _protocol_surface(text: str) -> dict[str, Any] | None:
         elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             targets, value = [stmt.target], stmt.value
         for target in targets:
-            if isinstance(target, ast.Name) and target.id in keys and value is not None:
+            if isinstance(target, ast.Name) and value is not None:
                 try:
-                    surface[keys[target.id]] = ast.literal_eval(value)
+                    literals[target.id] = ast.literal_eval(value)
                 except ValueError:
                     pass
-    return surface
-
-
-def _normalized_fields(fields: Any) -> Any:
-    """Field registry with order-insensitive values for comparison."""
-    if not isinstance(fields, dict):
-        return fields
-    return {cmd: sorted(value) if isinstance(value, (list, tuple)) else value
-            for cmd, value in fields.items()}
+    commands = literals.get("COMMANDS")
+    fields: Any = None
+    if isinstance(commands, dict):
+        fields = commands
+    elif isinstance(commands, (list, tuple)):
+        fields = next((v for v in literals.values()
+                       if isinstance(v, dict) and set(v) == set(commands)), None)
+    else:
+        commands = None
+    if isinstance(fields, dict):
+        fields = {cmd: sorted(value) if isinstance(value, (list, tuple)) else value
+                  for cmd, value in fields.items()}
+    return {
+        "version": literals.get("PROTOCOL_VERSION"),
+        "commands": set(commands) if commands is not None else None,
+        "fields": fields,
+    }
 
 
 def check_protocol_version_bump(repo: Path, base: str) -> list[Finding]:
@@ -215,9 +225,9 @@ def check_protocol_version_bump(repo: Path, base: str) -> list[Finding]:
         )]
 
     def _drifted(old_value: Any, new_value: Any) -> bool:
-        # A registry the base did not define yet cannot have drifted
-        # (introducing COMMANDS/MESSAGE_FIELDS is not a wire change);
-        # deleting one the base had is always drift.
+        # A contract part the base did not define yet cannot have
+        # drifted (introducing it is not a wire change); deleting one
+        # the base had is always drift.
         if old_value is None:
             return False
         if new_value is None:
@@ -225,12 +235,10 @@ def check_protocol_version_bump(repo: Path, base: str) -> list[Finding]:
         return old_value != new_value
 
     changed: list[str] = []
-    old_cmds = set(old["commands"]) if old["commands"] is not None else None
-    new_cmds = set(new["commands"]) if new["commands"] is not None else None
-    if _drifted(old_cmds, new_cmds):
-        changed.append("command set (COMMANDS)")
-    if _drifted(_normalized_fields(old["fields"]), _normalized_fields(new["fields"])):
-        changed.append("message fields (MESSAGE_FIELDS)")
+    if _drifted(old["commands"], new["commands"]):
+        changed.append("command set")
+    if _drifted(old["fields"], new["fields"]):
+        changed.append("request fields")
     if not changed:
         return []
     if old["version"] != new["version"]:
@@ -238,7 +246,7 @@ def check_protocol_version_bump(repo: Path, base: str) -> list[Finding]:
     return [Finding(
         path=_PROTOCOL_MODULE, line=1, col=0,
         rule_id="PROTO003", severity=Severity.ERROR,
-        message=f"the wire contract changed ({' and '.join(changed)}) but "
+        message=f"the wire contract in COMMANDS changed ({' and '.join(changed)}) but "
                 f"PROTOCOL_VERSION is still {new['version']!r}; bump it so "
                 "clients can refuse a daemon they no longer speak",
     )]

@@ -7,7 +7,7 @@ Rule id namespaces:
 * ``CACHE00x`` — cache-key completeness (:mod:`repro.lint.rules.cachekey`)
 * ``OBS00x`` — observability pairing (:mod:`repro.lint.rules.obspairing`)
 * ``PERF00x`` — engine fast-path contracts (:mod:`repro.lint.rules.perf`)
-* ``PROTO00x`` — serve-protocol consistency (:mod:`repro.lint.rules.protocol`)
+* ``PROTO003`` — serve-protocol version guard (:mod:`repro.lint.rules.protocol`)
 * ``RES00x`` — resource lifecycle (:mod:`repro.lint.rules.resources`)
 * ``CONC00x`` — concurrency safety (:mod:`repro.lint.rules.concurrency`)
 * ``LINT00x/9xx`` — engine pseudo-rules (:mod:`repro.lint.engine`)

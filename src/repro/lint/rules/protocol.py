@@ -1,165 +1,21 @@
-"""Serve-protocol consistency rules (PROTO001-PROTO003).
+"""Serve-protocol version guard (PROTO003).
 
-The control protocol has four places a command must exist at once: the
-daemon's dispatch table, the ``COMMANDS`` registry in
-:mod:`repro.serve.protocol`, a :class:`ServeClient` method, and the
-command table in ``docs/serve.md``. History says these drift: a command
-added to the dispatch dict works in ad-hoc testing but is unreachable
-from ``repro ctl`` and invisible in the docs. These rules walk the
-project for command-dispatch dict literals (string keys mapped to
-``_cmd_*`` handlers) and hold every dispatched command to the contract:
-
-* **PROTO001** — the command is declared in a ``COMMANDS`` registry and
-  has a client method (``set-goal`` ↔ ``ServeClient.set_goal``);
-* **PROTO002** — the command is documented in ``docs/serve.md``;
-* **PROTO003** — changing the command set or the per-command
-  ``MESSAGE_FIELDS`` without bumping ``PROTOCOL_VERSION`` is caught by
-  the git guard (:func:`repro.lint.guard.check_protocol_version_bump`),
-  which runs under ``--guard-base`` exactly like CACHE002.
-
-Like every cross-file rule, PROTO001 resolves definitions through the
-project symbol table, so the registry and client may live in any loaded
-module (the real tree) or the linted file itself (fixtures).
+``repro.serve.protocol.COMMANDS`` is the wire contract: every command
+with the request fields it takes. Changing it without bumping
+``PROTOCOL_VERSION`` is caught by the git guard
+(:func:`repro.lint.guard.check_protocol_version_bump`), which runs under
+``--guard-base`` exactly like CACHE002. That the daemon handles and the
+docs describe exactly the ``COMMANDS`` keys is checked by tests, not
+lint rules (``tests/test_serve.py``).
 """
 
 from __future__ import annotations
 
-import ast
-from pathlib import Path
 from typing import Iterator
 
 from repro.lint.context import FileContext, ProjectContext
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
-
-_COMMANDS_CACHE_KEY = "protocol.declared_commands"
-_CLIENT_CACHE_KEY = "protocol.client_methods"
-
-#: Class name the client-side protocol implementation lives on.
-_CLIENT_CLASS = "ServeClient"
-
-#: Attribute/function name prefix marking a dispatch-table handler.
-_HANDLER_PREFIX = "_cmd"
-
-
-def _handler_name(node: ast.expr) -> str | None:
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    return None
-
-
-def dispatched_commands(ctx: FileContext) -> Iterator[tuple[str, ast.expr]]:
-    """Command strings this file dispatches, with their key nodes.
-
-    A dispatch table is a dict literal whose string keys map to
-    ``_cmd_*`` handlers (``{"ping": self._cmd_ping, ...}``). Requiring
-    at least two such entries keeps one-off dicts out.
-    """
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.Dict):
-            continue
-        entries: list[tuple[str, ast.expr]] = []
-        for key, value in zip(node.keys, node.values):
-            if not (isinstance(key, ast.Constant) and isinstance(key.value, str)):
-                continue
-            handler = _handler_name(value)
-            if handler is not None and handler.startswith(_HANDLER_PREFIX):
-                entries.append((key.value, key))
-        if len(entries) >= 2:
-            yield from entries
-
-
-def _declared_commands(project: ProjectContext) -> frozenset[str]:
-    """Every command declared in a module-level ``COMMANDS`` registry."""
-    cached = project.cache.get(_COMMANDS_CACHE_KEY)
-    if cached is not None:
-        return cached
-    declared: set[str] = set()
-    for ctx in project.all_files():
-        for stmt in ctx.tree.body:
-            targets: list[ast.expr] = []
-            value: ast.expr | None = None
-            if isinstance(stmt, ast.Assign):
-                targets, value = stmt.targets, stmt.value
-            elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-                targets, value = [stmt.target], stmt.value
-            if not any(isinstance(t, ast.Name) and t.id == "COMMANDS" for t in targets):
-                continue
-            if isinstance(value, (ast.Tuple, ast.List)):
-                declared.update(
-                    el.value for el in value.elts
-                    if isinstance(el, ast.Constant) and isinstance(el.value, str)
-                )
-    result = frozenset(declared)
-    project.cache[_COMMANDS_CACHE_KEY] = result
-    return result
-
-
-def _client_methods(project: ProjectContext) -> frozenset[str]:
-    """Method names on every loaded ``ServeClient`` class."""
-    cached = project.cache.get(_CLIENT_CACHE_KEY)
-    if cached is not None:
-        return cached
-    methods: set[str] = set()
-    for info in project.symbols().classes_named(_CLIENT_CLASS):
-        methods.update(info.methods)
-    result = frozenset(methods)
-    project.cache[_CLIENT_CACHE_KEY] = result
-    return result
-
-
-def check_command_registered(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
-    """PROTO001: dispatched commands need a registry entry + client method."""
-    declared = None
-    methods = None
-    for cmd, key in dispatched_commands(ctx):
-        if declared is None:
-            declared = _declared_commands(project)
-            methods = _client_methods(project)
-        assert methods is not None
-        if cmd not in declared:
-            yield (key.lineno, key.col_offset,
-                   f"command {cmd!r} is dispatched but not declared in a "
-                   "COMMANDS registry; add it to protocol.COMMANDS (and "
-                   "MESSAGE_FIELDS) so clients can validate requests")
-        if cmd.replace("-", "_") not in methods:
-            yield (key.lineno, key.col_offset,
-                   f"command {cmd!r} has no {_CLIENT_CLASS}."
-                   f"{cmd.replace('-', '_')}() method; every daemon command "
-                   "must be drivable from the one client implementation")
-
-
-def _serve_doc_for(path: Path) -> Path | None:
-    """Nearest ``docs/serve.md`` above ``path``, if any."""
-    for parent in path.resolve().parents:
-        candidate = parent / "docs" / "serve.md"
-        if candidate.is_file():
-            return candidate
-    return None
-
-
-def check_command_documented(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
-    """PROTO002: every dispatched command has a ``docs/serve.md`` entry."""
-    doc_text: str | None = None
-    for cmd, key in dispatched_commands(ctx):
-        if doc_text is None:
-            doc = _serve_doc_for(ctx.path)
-            if doc is None:
-                yield (key.lineno, key.col_offset,
-                       "no docs/serve.md found above this file; the protocol "
-                       "doc-sync check could not run")
-                return
-            doc_text = doc.read_text(encoding="utf-8")
-        if f"`{cmd}`" not in doc_text:
-            yield (key.lineno, key.col_offset,
-                   f"command {cmd!r} is dispatched but undocumented; add a "
-                   "row for it to the command table in docs/serve.md")
 
 
 def _no_findings(
@@ -168,30 +24,12 @@ def _no_findings(
     return iter(())
 
 
-register(Rule(
-    rule_id="PROTO001",
-    name="undispatched-or-clientless-command",
-    description="every dispatched serve command needs a COMMANDS entry and a ServeClient method",
-    severity=Severity.ERROR,
-    scopes=(),
-    check=check_command_registered,
-))
-
-register(Rule(
-    rule_id="PROTO002",
-    name="undocumented-command",
-    description="every dispatched serve command needs a docs/serve.md entry",
-    severity=Severity.ERROR,
-    scopes=(),
-    check=check_command_documented,
-))
-
 #: PROTO003 is registered here for selection/suppression/reporting; its
 #: findings come from repro.lint.guard (git history), not file ASTs.
 register(Rule(
     rule_id="PROTO003",
     name="protocol-version-guard",
-    description="PROTOCOL_VERSION must be bumped when the command set or message fields change",
+    description="PROTOCOL_VERSION must be bumped when the command set or request fields change",
     severity=Severity.ERROR,
     scopes=(),
     check=_no_findings,

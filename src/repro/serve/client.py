@@ -42,12 +42,17 @@ class ServeClient:
                 time.sleep(0.02)
 
     def request(self, message: dict[str, Any]) -> dict[str, Any]:
-        """Send one raw protocol message; returns the raw response."""
+        """Send one raw protocol message; returns the raw response.
+
+        Raises ValueError, sending nothing, when ``message`` holds a NaN
+        or infinite float (:func:`~repro.serve.protocol.encode_line`).
+        """
         self._sock.sendall(protocol.encode_line(message))
         return protocol.decode_line(self._read_line())
 
     def command(self, cmd: str, **params: Any) -> dict[str, Any]:
-        """Issue a command; returns the response ``data``.
+        """Issue a command (a :data:`~repro.serve.protocol.COMMANDS` name
+        with its fields as keywords); returns the response ``data``.
 
         Raises :class:`~repro.serve.protocol.ProtocolError` when the
         daemon answers ``ok: false``.
@@ -59,26 +64,6 @@ class ServeClient:
             )
         data = response.get("data")
         return data if isinstance(data, dict) else {}
-
-    def ping(self) -> dict[str, Any]:
-        return self.command("ping")
-
-    def status(self) -> dict[str, Any]:
-        return self.command("status")
-
-    def set_goal(self, goal_s: float | None) -> dict[str, Any]:
-        return self.command("set-goal", goal_s=goal_s)
-
-    def inject_fault(
-        self, plan: dict[str, Any], *, relative: bool = True,
-    ) -> dict[str, Any]:
-        return self.command("inject-fault", plan=plan, relative=relative)
-
-    def force_boost(self) -> dict[str, Any]:
-        return self.command("force-boost")
-
-    def shutdown(self) -> dict[str, Any]:
-        return self.command("shutdown")
 
     def _read_line(self) -> bytes:
         while b"\n" not in self._buffer:

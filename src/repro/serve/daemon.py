@@ -8,8 +8,8 @@ Single-threaded by design. One selector loop interleaves three duties:
   ``elapsed_wall * accel`` so epoch boundaries and idle timers fire in
   wall time while requests arrive over the ingest socket;
 * **the control socket** — newline-delimited JSON commands
-  (:mod:`repro.serve.protocol`): status, set-goal, inject-fault,
-  force-boost, shutdown;
+  (:mod:`repro.serve.protocol`; docs/serve.md lists them), each handled
+  by the ``_cmd_*`` method its name maps to;
 * **the ingest socket** (live mode) — one JSON request per line,
   submitted to the array the moment it is read.
 
@@ -305,14 +305,7 @@ class ServeDaemon:
         try:
             request = protocol.decode_line(line)
             cmd = protocol.request_command(request)
-            handler = {
-                "ping": self._cmd_ping,
-                "status": self._cmd_status,
-                "set-goal": self._cmd_set_goal,
-                "inject-fault": self._cmd_inject_fault,
-                "force-boost": self._cmd_force_boost,
-                "shutdown": self._cmd_shutdown,
-            }[cmd]
+            handler = getattr(self, "_cmd_" + cmd.replace("-", "_"))
             return protocol.ok_response(handler(request))
         except KeyError as exc:
             return protocol.error_response(f"missing key {exc}")

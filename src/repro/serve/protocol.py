@@ -1,39 +1,15 @@
 """The serve control protocol: newline-delimited strict JSON.
 
-One request per line, one response per line, over a local
-``AF_UNIX`` stream socket. Requests are objects with a ``cmd`` key:
-
-``{"cmd": "ping"}``
-    Liveness probe; answers ``{"pong": true, "version": ...}``.
-``{"cmd": "status"}``
-    Snapshot of the run: simulated time, progress counters, the current
-    speed assignment and the full metrics registry
-    (:meth:`repro.obs.metrics.MetricsRegistry.snapshot`).
-``{"cmd": "set-goal", "goal_s": 0.25}``
-    Change (or, with ``"goal_s": null``, clear) the response-time goal;
-    takes effect immediately in the deficit accounting and at the next
-    epoch boundary in the optimizer.
-``{"cmd": "inject-fault", "plan": {...}, "relative": true}``
-    Install a :mod:`repro.faults` plan mid-run. ``plan`` uses the exact
-    ``--faults`` JSON schema (docs/faults.md); with ``relative`` (a JSON
-    bool, default true) fault times are offsets from the current
-    simulated time.
-``{"cmd": "force-boost"}``
-    Enter the full-speed boost by operator fiat; answers whether the
-    policy actually entered (False: no boost machinery / already
-    boosted).
-``{"cmd": "shutdown"}``
-    Graceful stop: no new requests are admitted, in-flight ones drain,
-    the JSONL trace is flushed, ``run_end`` is emitted, the daemon
-    exits.
-
-A request may carry only ``cmd`` and the fields
-:data:`MESSAGE_FIELDS` lists for its command; anything else (a
-misspelled ``relativ``, a ``goal_ms``) is rejected, not ignored.
+One request per line, one response per line, over a local ``AF_UNIX``
+stream socket. A request is an object with a ``cmd`` key and the fields
+:data:`COMMANDS` lists for that command; anything else (a misspelled
+``relativ``, a ``goal_ms``) is rejected, not ignored. docs/serve.md
+describes each command and its reply.
 
 Responses are ``{"ok": true, "data": {...}}`` or
 ``{"ok": false, "error": "..."}``. Every line is strict JSON — no
-``NaN``/``Infinity`` literals, ever: outgoing non-finite floats become
+``NaN``/``Infinity`` literals, ever: :func:`encode_line` refuses a
+non-finite float, :func:`ok_response` turns the ones in a reply into
 null, and an incoming line that contains one is rejected.
 """
 
@@ -47,14 +23,13 @@ from typing import Any, NoReturn
 #: ``ping`` so clients can refuse to drive a daemon they don't speak.
 PROTOCOL_VERSION = 1
 
-#: Commands the daemon understands (the dispatch table is keyed on this).
-COMMANDS = ("ping", "status", "set-goal", "inject-fault", "force-boost", "shutdown")
-
-#: Request fields each command carries beyond ``cmd``. This is the wire
-#: contract in registry form: the PROTO003 lint guard diffs it (and
-#: COMMANDS) against the PR base and demands a PROTOCOL_VERSION bump
-#: when either changes, so clients can refuse daemons they don't speak.
-MESSAGE_FIELDS: dict[str, tuple[str, ...]] = {
+#: The wire contract: every command the daemon understands, with the
+#: request fields it takes beyond ``cmd``. The daemon dispatches each to
+#: the ``ServeDaemon._cmd_*`` method named after it (``set-goal`` ->
+#: ``_cmd_set_goal``), ``repro ctl`` offers exactly these names, and the
+#: PROTO003 lint guard diffs this dict against the base ref and demands
+#: a PROTOCOL_VERSION bump when it changes.
+COMMANDS: dict[str, tuple[str, ...]] = {
     "ping": (),
     "status": (),
     "set-goal": ("goal_s",),
@@ -62,9 +37,6 @@ MESSAGE_FIELDS: dict[str, tuple[str, ...]] = {
     "force-boost": (),
     "shutdown": (),
 }
-
-if set(MESSAGE_FIELDS) != set(COMMANDS):  # pragma: no cover - import-time invariant
-    raise AssertionError("MESSAGE_FIELDS and COMMANDS list different commands")
 
 
 class ProtocolError(ValueError):
@@ -83,8 +55,13 @@ def _strict(value: Any) -> Any:
 
 
 def encode_line(message: dict[str, Any]) -> bytes:
-    """One protocol message as a UTF-8 line (newline included)."""
-    return (json.dumps(_strict(message), sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
+    """One protocol message as a UTF-8 line (newline included).
+
+    Raises ValueError on a NaN or infinite float instead of sending it:
+    a request's NaN goal must not reach the daemon as null, which clears
+    the goal. Replies built by :func:`ok_response` are already nulled.
+    """
+    return (json.dumps(message, sort_keys=True, allow_nan=False) + "\n").encode("utf-8")
 
 
 def _reject_constant(name: str) -> NoReturn:
@@ -113,16 +90,17 @@ def request_command(data: dict[str, Any]) -> str:
     """Extract and validate the ``cmd`` of a request.
 
     Also rejects fields the command does not declare in
-    :data:`MESSAGE_FIELDS`, naming the ones it does take.
+    :data:`COMMANDS`, naming the ones it does take.
     """
     cmd = data.get("cmd")
     if not isinstance(cmd, str):
         raise ProtocolError("request has no 'cmd' string")
     if cmd not in COMMANDS:
         raise ProtocolError(f"unknown command {cmd!r}; known: {', '.join(COMMANDS)}")
-    unknown = sorted(set(data) - {"cmd", *MESSAGE_FIELDS[cmd]})
+    fields = COMMANDS[cmd]
+    unknown = sorted(set(data) - {"cmd", *fields})
     if unknown:
-        allowed = ", ".join(MESSAGE_FIELDS[cmd]) or "none"
+        allowed = ", ".join(fields) or "none"
         raise ProtocolError(
             f"{cmd} does not take {', '.join(map(repr, unknown))}; allowed fields: {allowed}"
         )
@@ -146,7 +124,8 @@ def finite_goal(value: Any, name: str) -> float:
 
 
 def ok_response(data: dict[str, Any] | None = None) -> dict[str, Any]:
-    return {"ok": True, "data": data or {}}
+    """A success reply; non-finite floats in ``data`` become null."""
+    return {"ok": True, "data": _strict(data or {})}
 
 
 def error_response(message: str) -> dict[str, Any]:

@@ -476,32 +476,18 @@ class ArraySimulation:
         Plan times must already be absolute simulated seconds at or
         after ``engine.now`` (the serve daemon shifts relative plans via
         :func:`repro.faults.plan.shift_fault_plan`). The first injected
-        plan's rebuild knobs govern if the run started fault-free.
+        plan's rebuild knobs govern if the run started fault-free. A
+        plan the injector refuses (ValueError) leaves the run unchanged:
+        no fault state, no scheduled failure, no injector.
         """
         if plan.empty:
             return
-        if self.injector is None:
-            # Validate before install(): install attaches per-disk fault
-            # state as it goes, so a late rejection would leave the plan
-            # half-applied. (add_plan does its own up-front validation.)
-            now = self.engine.now
-            for failure in plan.disk_failures:
-                if not 0 <= failure.disk < self.array.num_disks:
-                    raise ValueError(
-                        f"fault plan fails disk {failure.disk}, but the "
-                        f"array has {self.array.num_disks} disks"
-                    )
-                if failure.time_s < now:
-                    raise ValueError(
-                        f"disk {failure.disk} failure at t={failure.time_s} "
-                        f"is in the past (now={now}); shift the plan forward"
-                    )
-            self.injector = FaultInjector(
-                self.engine, self.array, plan, self.policy,
-            )
-            self.injector.install()
-        else:
+        if self.injector is not None:
             self.injector.add_plan(plan)
+            return
+        injector = FaultInjector(self.engine, self.array, plan, self.policy)
+        injector.install()
+        self.injector = injector
 
     # -- result assembly ------------------------------------------------------
 

@@ -67,6 +67,62 @@ def test_run_every_policy(tmp_path, capsys):
     assert "TPM" in out and "Oracle" in out
 
 
+#: ``repro run`` argv extras and the named spec they must build, with
+#: ``--epoch 30``: the CLI-only knobs are pdc's period, oracle's epoch
+#: and Hibernator's epoch, migration and priming (on by default).
+_EPOCH = 30.0
+_CLI_POLICIES = [
+    ("base", (), {}),
+    ("tpm", (), {}),
+    ("drpm", (), {}),
+    ("pdc", (), {"period_s": _EPOCH}),
+    ("maid", (), {}),
+    ("hibernator", (), {"epoch_seconds": _EPOCH, "migration": "shuffle"}),
+    ("oracle", (), {"epoch_seconds": _EPOCH}),
+    ("hibernator", ("--no-prime",), {"epoch_seconds": _EPOCH, "prime": False}),
+    ("hibernator", ("--migration", "none"), {"epoch_seconds": _EPOCH, "migration": "none"}),
+]
+
+
+def test_cli_policies_cover_the_spec_registry():
+    from repro.analysis.parallel import POLICY_FACTORIES
+
+    assert {name for name, _, _ in _CLI_POLICIES} == set(POLICY_FACTORIES)
+
+
+@pytest.mark.parametrize("policy, extra, params", _CLI_POLICIES,
+                         ids=[" ".join((name, *extra)) for name, extra, _ in _CLI_POLICIES])
+def test_run_builds_the_registry_policy(tmp_path, capsys, policy, extra, params):
+    """``repro run --json`` equals the same run built from
+    ``PolicySpec.named``, goal included: ``--slack`` x Base's mean
+    response time, and no goal for ``base``."""
+    import io
+    import json
+
+    from repro.analysis.experiments import default_array_config
+    from repro.analysis.export import result_to_dict, write_json
+    from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute_one
+
+    path = gen(tmp_path)
+    capsys.readouterr()
+    assert main(["run", "--trace", str(path), "--policy", policy, "--disks", "4",
+                 "--epoch", str(_EPOCH), "--slack", "2.0", "--json", *extra]) == 0
+    cli = json.loads(capsys.readouterr().out)
+
+    def spec(name, goal_s=None, **kw):
+        return RunSpec(trace=TraceSpec.from_file(str(path)),
+                       array=default_array_config(num_disks=4, num_extents=80),
+                       policy=PolicySpec.named(name, **kw), goal_s=goal_s)
+
+    goal = None if policy == "base" else 2.0 * execute_one(spec("base")).mean_response_s
+    out = io.StringIO()
+    write_json(result_to_dict(execute_one(spec(policy, goal, **params))), out)
+    expected = json.loads(out.getvalue())
+    for doc in (cli, expected):
+        doc["extras"] = {k: v for k, v in doc["extras"].items() if not k.startswith("runtime_")}
+    assert cli == expected
+
+
 def test_run_inline_generation(capsys):
     assert main(["run", "--kind", "synthetic", "--duration", "30",
                  "--rate", "20", "--extents", "40", "--policy", "base",

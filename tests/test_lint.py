@@ -88,9 +88,9 @@ class TestSelection:
         near misses, so a typo is a one-glance fix."""
         path = _write(tmp_path, "x = 1\n")
         with pytest.raises(ValueError) as excinfo:
-            lint([path], select=["PROTO01"])
+            lint([path], select=["PROTO03"])
         message = str(excinfo.value)
-        assert "did you mean PROTO001?" in message
+        assert "did you mean PROTO003?" in message
         assert "DET003" in message and "RES001" in message
 
     def test_unknown_ignore_id_raises_too(self, tmp_path):
@@ -148,7 +148,7 @@ class TestReporters:
         rules = all_rules()
         for rule_id in ("DET001", "DET002", "DET003", "DET004", "UNIT001",
                         "UNIT002", "CACHE001", "CACHE002", "OBS001", "OBS002",
-                        "PERF001", "PROTO001", "PROTO002", "PROTO003",
+                        "PERF001", "PROTO003",
                         "RES001", "RES002", "CONC001", "CONC002", "CONC003",
                         "LINT000", "LINT999"):
             assert rule_id in rules
@@ -301,9 +301,9 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """Disks draw rotation fractions in blocks, and Hibernator's boost
-    reads the run's one deficit tracker, so failed requests no longer
-    earn boost credit. Every golden digest is unchanged, but goal runs
-    with failed requests change and the semantics-bearing modules
+    """ArraySimulation.inject_faults assigns its injector only once the
+    plan is installed, so a refused mid-run plan no longer leaves its
+    injector (and retry/rebuild settings) behind. Every golden digest
+    is unchanged, but a semantics-bearing module (sim/runner.py)
     changed, so the guard demands a bump."""
-    assert CODE_VERSION == "2026.08-9"
+    assert CODE_VERSION == "2026.08-10"

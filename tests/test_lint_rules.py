@@ -21,8 +21,7 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 RULES = ["DET001", "DET002", "DET003", "DET004",
          "UNIT001", "UNIT002", "CACHE001", "OBS001", "OBS002", "PERF001",
-         "PROTO001", "PROTO002", "RES001", "RES002",
-         "CONC001", "CONC002", "CONC003"]
+         "RES001", "RES002", "CONC001", "CONC002", "CONC003"]
 
 
 def _findings(filename: str, rule_id: str):
@@ -54,7 +53,7 @@ def test_expected_bad_fixture_counts():
         "DET001": 3, "DET002": 2, "DET003": 3, "DET004": 3,
         "UNIT001": 3, "UNIT002": 3, "CACHE001": 1, "OBS001": 1, "OBS002": 2,
         "PERF001": 3,
-        "PROTO001": 2, "PROTO002": 1, "RES001": 3, "RES002": 2,
+        "RES001": 3, "RES002": 2,
         "CONC001": 2, "CONC002": 2, "CONC003": 3,
     }
     for rule_id, count in expected.items():
@@ -127,25 +126,41 @@ def _git(repo: Path, *args: str) -> None:
 _PROTOCOL_TEMPLATE = """\
 PROTOCOL_VERSION = {version}
 COMMANDS = {commands!r}
+"""
+
+#: The earlier layout: the command names in a tuple, their request
+#: fields in a second dict keyed by the same names.
+_OLD_PROTOCOL_TEMPLATE = """\
+PROTOCOL_VERSION = {version}
+COMMANDS = {commands!r}
 MESSAGE_FIELDS = {fields!r}
 """
+
+
+def _protocol_repo(tmp_path, base_text: str):
+    repo = tmp_path / "repo"
+    (repo / "src/repro/serve").mkdir(parents=True)
+    proto = repo / "src/repro/serve/protocol.py"
+    proto.write_text(base_text)
+    _git(repo, "init", "-q")
+    _git(repo, "add", ".")
+    _git(repo, "commit", "-q", "-m", "base")
+    return repo, proto
 
 
 @pytest.fixture
 def protocol_repo(tmp_path):
     """A git repo whose serve protocol module is at version 1."""
-    repo = tmp_path / "repo"
-    (repo / "src/repro/serve").mkdir(parents=True)
-    proto = repo / "src/repro/serve/protocol.py"
-    proto.write_text(_PROTOCOL_TEMPLATE.format(
-        version=1,
-        commands=("ping", "status"),
-        fields={"ping": (), "status": ()},
-    ))
-    _git(repo, "init", "-q")
-    _git(repo, "add", ".")
-    _git(repo, "commit", "-q", "-m", "base")
-    return repo, proto
+    return _protocol_repo(tmp_path, _PROTOCOL_TEMPLATE.format(
+        version=1, commands={"ping": (), "status": ()}))
+
+
+@pytest.fixture
+def old_layout_protocol_repo(tmp_path):
+    """The same version-1 contract, committed in the earlier layout."""
+    return _protocol_repo(tmp_path, _OLD_PROTOCOL_TEMPLATE.format(
+        version=1, commands=("ping", "status"),
+        fields={"ping": (), "status": ()}))
 
 
 class TestProtocolVersionGuard:
@@ -159,19 +174,18 @@ class TestProtocolVersionGuard:
         repo, proto = protocol_repo
         proto.write_text(_PROTOCOL_TEMPLATE.format(
             version=1,
-            commands=("ping", "status", "reset-epoch"),
-            fields={"ping": (), "status": (), "reset-epoch": ()},
+            commands={"ping": (), "status": (), "reset-epoch": ()},
         ))
         findings = check_protocol_version_bump(repo, "HEAD")
         assert [f.rule_id for f in findings] == ["PROTO003"]
         assert "PROTOCOL_VERSION" in findings[0].message
+        assert "command set" in findings[0].message
 
     def test_new_command_with_bump_passes(self, protocol_repo):
         repo, proto = protocol_repo
         proto.write_text(_PROTOCOL_TEMPLATE.format(
             version=2,
-            commands=("ping", "status", "reset-epoch"),
-            fields={"ping": (), "status": (), "reset-epoch": ()},
+            commands={"ping": (), "status": (), "reset-epoch": ()},
         ))
         assert check_protocol_version_bump(repo, "HEAD") == []
 
@@ -179,12 +193,30 @@ class TestProtocolVersionGuard:
         repo, proto = protocol_repo
         proto.write_text(_PROTOCOL_TEMPLATE.format(
             version=1,
-            commands=("ping", "status"),
-            fields={"ping": (), "status": ("verbose",)},
+            commands={"ping": (), "status": ("verbose",)},
         ))
         findings = check_protocol_version_bump(repo, "HEAD")
         assert [f.rule_id for f in findings] == ["PROTO003"]
-        assert "MESSAGE_FIELDS" in findings[0].message
+        assert "request fields" in findings[0].message
+
+    def test_old_layout_base_with_same_contract_passes(self, old_layout_protocol_repo):
+        """A base that states the contract as a command tuple plus a
+        field dict matches the one-dict layout with the same commands
+        and fields, in any order."""
+        repo, proto = old_layout_protocol_repo
+        proto.write_text(_PROTOCOL_TEMPLATE.format(
+            version=1, commands={"status": (), "ping": ()}))
+        assert check_protocol_version_bump(repo, "HEAD") == []
+
+    def test_old_layout_base_field_change_without_bump_trips_proto003(
+            self, old_layout_protocol_repo):
+        """The old layout's field dict is read, not skipped as unknown."""
+        repo, proto = old_layout_protocol_repo
+        proto.write_text(_PROTOCOL_TEMPLATE.format(
+            version=1, commands={"ping": (), "status": ("verbose",)}))
+        findings = check_protocol_version_bump(repo, "HEAD")
+        assert [f.rule_id for f in findings] == ["PROTO003"]
+        assert "request fields" in findings[0].message
 
     def test_deleted_protocol_module_is_loud(self, protocol_repo):
         repo, proto = protocol_repo

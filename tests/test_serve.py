@@ -19,15 +19,24 @@ The contracts pinned here:
 from __future__ import annotations
 
 import json
+import re
 import socket
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.analysis.experiments import run_single
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
-from repro.faults.plan import FaultPlan, TransientFault, fault_plan_from_dict, shift_fault_plan
+from repro.faults.plan import (
+    DiskFailure,
+    FaultPlan,
+    SlowDiskFault,
+    TransientFault,
+    fault_plan_from_dict,
+    shift_fault_plan,
+)
 from repro.perf.digest import result_digest
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.serve import protocol
@@ -132,20 +141,45 @@ class TestReplayIdentity:
         assert json.loads(lines[-1])["event"] == "run_end"
 
 
+class TestCommandTable:
+    """``protocol.COMMANDS`` is the one list of commands: the daemon's
+    handlers and the docs table must name exactly its keys."""
+
+    def test_daemon_handles_exactly_the_declared_commands(self):
+        handlers = {name for name in dir(ServeDaemon) if name.startswith("_cmd_")}
+        assert handlers == {"_cmd_" + cmd.replace("-", "_") for cmd in protocol.COMMANDS}
+
+    def test_docs_command_table_in_sync_with_commands(self):
+        doc = (Path(__file__).parent.parent / "docs" / "serve.md").read_text(
+            encoding="utf-8")
+        lines = doc.splitlines()
+        start = lines.index("| command | effect |")
+        rows = []
+        for line in lines[start + 2:]:
+            if not line.startswith("|"):
+                break
+            match = re.match(r"\| `([^`]+)` \|", line)
+            assert match, f"docs/serve.md command row without a `command` cell: {line}"
+            rows.append(match.group(1))
+        assert sorted(rows) == sorted(protocol.COMMANDS), (
+            "docs/serve.md's command table must have exactly one row per "
+            f"protocol.COMMANDS key: rows {rows}, keys {list(protocol.COMMANDS)}")
+
+
 class TestControlProtocol:
     def test_ping_status_round_trip(self, small_config, tmp_path):
         sim, daemon = serving(small_config, tmp_path)
         with ServeThread(daemon):
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                assert client.ping() == {"pong": True,
+                assert client.command("ping") == {"pong": True,
                                          "version": protocol.PROTOCOL_VERSION}
-                status = client.status()
+                status = client.command("status")
                 assert status["mode"] == "replay"
                 assert status["policy"] == "Hibernator"
                 assert status["goal_s"] == 0.2
                 assert status["trace_remaining"] >= 0
                 assert "sim" in status["metrics"] and "policy" in status["metrics"]
-                client.shutdown()
+                client.command("shutdown")
 
     def test_unknown_and_malformed_commands_rejected(self, small_config, tmp_path):
         sim, daemon = serving(small_config, tmp_path)
@@ -156,19 +190,19 @@ class TestControlProtocol:
                 with pytest.raises(protocol.ProtocolError):
                     client.command("set-goal")  # missing goal_s
                 # The daemon survives garbage and keeps serving.
-                assert client.ping()["pong"] is True
-                client.shutdown()
+                assert client.command("ping")["pong"] is True
+                client.command("shutdown")
 
     def test_set_goal_mid_run_changes_deficit_tracking(self, small_config, tmp_path):
         sim, daemon = serving(small_config, tmp_path, observe=True)
         with ServeThread(daemon) as st:
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                changed = client.set_goal(0.05)
+                changed = client.command("set-goal", goal_s=0.05)
                 assert changed == {"old_goal_s": 0.2, "goal_s": 0.05}
-                assert client.status()["goal_s"] == 0.05
-                cleared = client.set_goal(None)
+                assert client.command("status")["goal_s"] == 0.05
+                cleared = client.command("set-goal", goal_s=None)
                 assert cleared == {"old_goal_s": 0.05, "goal_s": None}
-                client.shutdown()
+                client.command("shutdown")
         kinds = [e.kind for e in st.result.events]
         assert kinds.count("serve_goal_changed") == 2
         assert st.result.goal_s is None
@@ -178,20 +212,20 @@ class TestControlProtocol:
         with ServeThread(daemon):
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
                 assert sim.policy.boost is None
-                client.set_goal(0.1)
+                client.command("set-goal", goal_s=0.1)
                 assert sim.deficit is not None
                 assert sim.policy.boost is not None
-                client.shutdown()
+                client.command("shutdown")
 
     def test_force_boost(self, small_config, tmp_path):
         sim, daemon = serving(small_config, tmp_path, observe=True)
         with ServeThread(daemon) as st:
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                first = client.force_boost()
+                first = client.command("force-boost")
                 assert first == {"entered": True}
                 # Already boosted: a second force is a no-op, not an error.
-                assert client.force_boost() == {"entered": False}
-                client.shutdown()
+                assert client.command("force-boost") == {"entered": False}
+                client.command("shutdown")
         assert "serve_boost_forced" in [e.kind for e in st.result.events]
         assert st.result.extras.get("boosts", 0) >= 1
 
@@ -203,21 +237,40 @@ class TestControlProtocol:
                      "disks": [0, 1]}]}
         with ServeThread(daemon) as st:
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                injected = client.inject_fault(plan)
+                injected = client.command("inject-fault", plan=plan)
                 assert injected["transient_faults"] == 1
-                client.shutdown()
+                client.command("shutdown")
         kinds = [e.kind for e in st.result.events]
         assert "serve_fault_injected" in kinds
         # The fault-run extras only appear when an injector was installed.
         assert "fault_op_errors" in st.result.extras
+
+    def test_client_refuses_to_send_non_finite_floats(self, small_config, tmp_path):
+        """A NaN goal must not go out as ``"goal_s": null``, which clears
+        the goal: the client raises before sending anything."""
+        sim, daemon = serving(small_config, tmp_path)
+        with ServeThread(daemon):
+            with ServeClient.connect(tmp_path / "ctl.sock") as client:
+                for bad in (float("nan"), float("inf")):
+                    with pytest.raises(ValueError):
+                        client.command("set-goal", goal_s=bad)
+                # Nothing was sent: the next reply answers the next
+                # request, and the goal is the one the run started with.
+                assert client.command("status")["goal_s"] == 0.2
+                client.command("shutdown")
+
+    def test_replies_null_non_finite_floats(self):
+        reply = protocol.ok_response({"p95_s": float("nan"), "rates": [float("inf"), 1.0]})
+        assert reply == {"ok": True, "data": {"p95_s": None, "rates": [None, 1.0]}}
+        assert b"NaN" not in protocol.encode_line(reply)
 
     def test_empty_plan_rejected(self, small_config, tmp_path):
         sim, daemon = serving(small_config, tmp_path)
         with ServeThread(daemon):
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
                 with pytest.raises(protocol.ProtocolError, match="injects nothing"):
-                    client.inject_fault({"seed": 1})
-                client.shutdown()
+                    client.command("inject-fault", plan={"seed": 1})
+                client.command("shutdown")
 
 
 def _lines_until_eof(sock: socket.socket, want: int) -> tuple[list[bytes], bool]:
@@ -257,8 +310,8 @@ class TestMisbehavingClients:
                 reply = protocol.decode_line(lines[0])
                 assert reply["ok"] is False and "longer than" in reply["error"]
                 # The daemon keeps serving everyone else.
-                assert other.ping()["pong"] is True
-                other.shutdown()
+                assert other.command("ping")["pong"] is True
+                other.command("shutdown")
 
     def test_pipelined_client_gets_every_reply_or_eof(self, small_config, tmp_path):
         """400 requests sent before reading overflow the socket buffer;
@@ -274,7 +327,7 @@ class TestMisbehavingClients:
                     lines, closed = _lines_until_eof(sock, want=400)
                 assert closed or len(lines) == 400
                 assert all(protocol.decode_line(line)["ok"] for line in lines)
-                client.shutdown()
+                client.command("shutdown")
 
 
 
@@ -308,8 +361,8 @@ class TestMalformedControlInput:
                     sock.sendall(protocol.encode_line({"cmd": "ping"}))
                     lines, closed = _lines_until_eof(sock, want=1)
                     assert protocol.decode_line(lines[0])["data"]["pong"] is True
-                assert client.status()["goal_s"] == 0.2
-                client.shutdown()
+                assert client.command("status")["goal_s"] == 0.2
+                client.command("shutdown")
 
     @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
     def test_decode_rejects_non_finite_literals(self, literal):
@@ -354,6 +407,101 @@ class TestMalformedControlInput:
         reply = daemon._dispatch(line.encode())
         assert reply["ok"] is False and "too large" in reply["error"]
         assert sim.goal_s == 0.2 and sim.injector is None
+
+
+#: Refused for its seed alone; the disk-1 failure and the window would
+#: otherwise be valid.
+_REFUSED_SEED_LINE = (
+    '{"cmd": "inject-fault", "plan": {"seed": -1, '
+    '"disk_failures": [{"time_s": 5.0, "disk": 1}], '
+    '"transient_faults": [{"start_s": 0.0, "end_s": 10.0, "probability": 0.5}]}}'
+)
+
+_WINDOW = {"start_s": 0.0, "end_s": 10.0, "probability": 0.5}
+_FAILURE = {"time_s": 5.0, "disk": 1}
+
+
+class TestRefusedFaultPlans:
+    """An ``inject-fault`` answered ``ok: false`` leaves the run as it
+    was: no injector, no fault state, no scheduled failure."""
+
+    def test_refused_plan_installs_nothing(self, small_config, tmp_path):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        pending = sim.engine.pending_events
+        reply = daemon._dispatch(_REFUSED_SEED_LINE.encode())
+        assert reply["ok"] is False and "seed" in reply["error"]
+        assert sim.injector is None
+        assert all(disk.fault_state is None for disk in sim.array.disks)
+        assert sim.engine.pending_events == pending
+
+    def test_plan_after_a_refused_one_runs_under_its_own_settings(self, small_config, tmp_path):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        assert daemon._dispatch(_REFUSED_SEED_LINE.encode())["ok"] is False
+        plan = {"disk_failures": [{"time_s": 5.0, "disk": 2}], "rebuild": False,
+                "retry": {"max_attempts": 2, "backoff_s": 0.001}}
+        reply = daemon._dispatch(protocol.encode_line({"cmd": "inject-fault", "plan": plan}))
+        assert reply["ok"] is True, reply
+        assert sim.injector.plan == fault_plan_from_dict(plan)
+        while sim.step(max_events=4096):
+            pass
+        sim.finalize()
+        # Only the accepted plan's disk failed, and under its own
+        # rebuild setting (off), not the refused plan's default (on).
+        assert sim.array.failed_disks == {2}
+        assert sim.injector.rebuild_manager is None
+
+    @pytest.mark.parametrize("plan, field", [
+        ({"seed": 3.7, "transient_faults": [_WINDOW]}, "seed"),
+        ({"seed": True, "transient_faults": [_WINDOW]}, "seed"),
+        ({"seed": -1, "transient_faults": [_WINDOW]}, "seed"),
+        ({"disk_failures": [{"time_s": 5.0, "disk": 1.9}]}, "disk"),
+        ({"disk_failures": [{"time_s": 5.0, "disk": True}]}, "disk"),
+        ({"transient_faults": [dict(_WINDOW, disks=[0.5])]}, "disks"),
+        ({"rebuild_max_inflight": 2.5, "disk_failures": [_FAILURE]}, "rebuild_max_inflight"),
+        ({"rebuild_max_inflight": True, "disk_failures": [_FAILURE]}, "rebuild_max_inflight"),
+        ({"rebuild": "no", "disk_failures": [_FAILURE]}, "rebuild"),
+        ({"rebuild": 0, "disk_failures": [_FAILURE]}, "rebuild"),
+    ], ids=["seed-float", "seed-bool", "seed-negative", "disk-float", "disk-bool",
+            "window-disk-float", "inflight-float", "inflight-bool", "rebuild-string",
+            "rebuild-int"])
+    def test_plan_fields_are_checked_not_coerced(self, small_config, tmp_path, plan, field):
+        sim, daemon = _begun_daemon(small_config, tmp_path)
+        reply = daemon._dispatch(protocol.encode_line({"cmd": "inject-fault", "plan": plan}))
+        assert reply["ok"] is False and field in reply["error"]
+        assert sim.injector is None
+
+    def test_refused_runtime_plan_changes_nothing(self, small_config):
+        """Both injector paths (the first plan's install, a later
+        plan's add_plan) check the whole plan before applying any of it."""
+        sim = build_sim(small_config)
+        sim.begin()
+        sim.step(max_events=500)
+        num_disks = sim.array.num_disks
+        everywhere = TransientFault(start_s=0.0, end_s=1e9, probability=0.5)
+        pending = sim.engine.pending_events
+        with pytest.raises(ValueError, match="array has"):
+            sim.inject_faults(FaultPlan(
+                transient_faults=(everywhere,),
+                disk_failures=(DiskFailure(time_s=sim.engine.now + 1.0, disk=num_disks),),
+            ))
+        assert sim.injector is None
+        assert all(disk.fault_state is None for disk in sim.array.disks)
+        assert sim.engine.pending_events == pending
+
+        sim.inject_faults(FaultPlan(transient_faults=(
+            TransientFault(start_s=0.0, end_s=1e9, probability=0.1, disks=(0,)),)))
+        injector, state = sim.injector, sim.array.disks[0].fault_state
+        windows = state._transients
+        pending = sim.engine.pending_events
+        with pytest.raises(ValueError, match="array has"):
+            sim.inject_faults(FaultPlan(
+                transient_faults=(everywhere,),
+                slow_disk_faults=(SlowDiskFault(start_s=0.0, end_s=1.0, factor=2.0,
+                                                disks=(num_disks,)),),
+            ))
+        assert sim.injector is injector and state._transients == windows
+        assert all(disk.fault_state is None for disk in sim.array.disks[1:])
+        assert sim.engine.pending_events == pending
 
 
 class TestMalformedIngestInput:
@@ -404,7 +552,7 @@ class TestMalformedIngestInput:
                 assert feed.request({"extent": 1, "size": 10**400})["ok"] is False
                 assert feed.request({"extent": 1, "size": 4096})["ok"] is True
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                client.shutdown()
+                client.command("shutdown")
         # Leaving ServeThread joined the daemon (it raises if the drain
         # never finishes): only the accepted request was served.
         assert st.result.num_requests == 1 and sim.outstanding == 0
@@ -417,7 +565,7 @@ class TestShutdownDrains:
         sim, daemon = serving(small_config, tmp_path, accel=5.0)
         with ServeThread(daemon) as st:
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                client.shutdown()
+                client.command("shutdown")
         result = st.result
         assert result is not None
         assert sim.outstanding == 0
@@ -431,8 +579,8 @@ class TestShutdownDrains:
                               observe=True, trace_out=out)
         with ServeThread(daemon) as st:
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                client.set_goal(0.1)
-                client.shutdown()
+                client.command("set-goal", goal_s=0.1)
+                client.command("shutdown")
         payload = [json.loads(line) for line in out.read_text().splitlines()]
         assert payload[0]["event"] == "run_start"
         assert payload[-1]["event"] == "run_end"
@@ -452,9 +600,9 @@ class TestLiveMode:
                 bad = feed.request({"kind": "read", "extent": 10_000})
                 assert bad["ok"] is False and "extent" in bad["error"]
             with ServeClient.connect(tmp_path / "ctl.sock") as client:
-                status = client.status()
+                status = client.command("status")
                 assert status["mode"] == "live" and status["ingested"] == 10
-                client.shutdown()
+                client.command("shutdown")
         assert st.result.num_requests == 10
         assert daemon.ingest_errors == 1
 
