@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import pickle
@@ -33,7 +34,7 @@ import numpy as np
 #: Bump whenever a change to the simulator alters the results a spec
 #: produces (disk model, engine semantics, policy behaviour, ...).
 #: Old cache entries become unreachable rather than silently stale.
-CODE_VERSION = "2026.08-10"
+CODE_VERSION = "2026.08-11"
 
 _SUFFIX = ".result.pkl"
 
@@ -69,10 +70,15 @@ def _canonical(obj: Any) -> Any:
         return [_canonical(v) for v in obj]
     if isinstance(obj, (set, frozenset)):
         return {"__set__": sorted(json.dumps(_canonical(v), sort_keys=True) for v in obj)}
+    if (isinstance(obj, type) or inspect.isfunction(obj)) and "<" not in obj.__qualname__:
+        # A module-level function or class is identified by its name;
+        # behaviour changes must be signalled through CODE_VERSION.
+        return {"__callable__": f"{obj.__module__}.{obj.__qualname__}"}
     if callable(obj):
-        # Callables are identified by name only; behaviour changes must
-        # be signalled through CODE_VERSION.
-        return {"__callable__": f"{getattr(obj, '__module__', '?')}.{getattr(obj, '__qualname__', repr(obj))}"}
+        # No name identifies a lambda, a closure, a bound method's
+        # instance, a partial's arguments or a callable instance's state.
+        raise TypeError(f"cannot build a stable cache key for {obj!r}: only "
+                        "module-level functions and classes are keyed, by name")
     raise TypeError(f"cannot build a stable cache key for {type(obj).__qualname__}: {obj!r}")
 
 

@@ -9,6 +9,7 @@ job count). Defaults stay sequential and uncached.
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass
 from typing import Callable, Sequence, TypeVar
 
@@ -29,14 +30,12 @@ def _call_tag(run: Callable, cache_tag: str | None) -> str:
     """Stable identity of the per-point callable, for cache keys."""
     if cache_tag is not None:
         return cache_tag
-    module = getattr(run, "__module__", None)
-    qualname = getattr(run, "__qualname__", None)
-    if not module or not qualname or "<" in qualname:
+    if not inspect.isfunction(run) or "<" in run.__qualname__:
         raise ValueError(
             "cannot derive a stable cache key for this callable (lambda, "
-            "closure or partial); pass cache_tag= explicitly"
+            "closure, bound method or partial); pass cache_tag= explicitly"
         )
-    return f"{module}.{qualname}"
+    return f"{run.__module__}.{run.__qualname__}"
 
 
 def sweep(

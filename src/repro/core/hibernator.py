@@ -49,6 +49,7 @@ from repro.core.speed_setting import (
 from repro.core.temperature import HeatTracker
 from repro.obs.events import EpochBoundary
 from repro.policies.base import PowerPolicy
+from repro.sim.engine import SimulationError
 from repro.sim.request import Request
 
 if typing.TYPE_CHECKING:  # pragma: no cover
@@ -311,6 +312,8 @@ class HibernatorPolicy(PowerPolicy):
 
     def force_boost(self, now: float) -> bool:
         """Operator-forced boost: same entry path the deficit takes."""
+        if self.sim is not None and self.sim.engine.dispatching:
+            raise SimulationError.mid_dispatch("force_boost")
         if self.boost is None or self.boost.boosted:
             return False
         self.boost.enter_boost(now)

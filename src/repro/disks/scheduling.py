@@ -20,10 +20,29 @@ the array-level power policies, and the scheduler ablation benchmark
 from __future__ import annotations
 
 import abc
+import math
 from collections import deque
 from dataclasses import dataclass
+from typing import Any
 
 from repro.sim.request import DiskOp
+
+
+def check_finite_fields(obj: Any, *names: str) -> None:
+    """Store each named field of the frozen dataclass ``obj`` as a float.
+
+    Refuses bools (JSON ``true`` is a Python int), strings, NaN and
+    ±inf with a ValueError naming the field; integers are read as
+    floats, and one too large for a float raises OverflowError. The
+    check behind every number a fault plan carries.
+    """
+    for name in names:
+        value = getattr(obj, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, float))
+                or not math.isfinite(value)):
+            raise ValueError(
+                f"{type(obj).__name__}.{name} must be a finite number, got {value!r}")
+        object.__setattr__(obj, name, float(value))
 
 
 @dataclass(frozen=True)
@@ -47,8 +66,11 @@ class RetryPolicy:
     backoff_multiplier: float = 2.0
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        if (not isinstance(self.max_attempts, int) or isinstance(self.max_attempts, bool)
+                or self.max_attempts < 1):
+            raise ValueError(
+                f"max_attempts must be an integer >= 1, got {self.max_attempts!r}")
+        check_finite_fields(self, "backoff_s", "backoff_multiplier")
         if self.backoff_s < 0:
             raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
         if self.backoff_multiplier < 1.0:

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
-from repro.disks.scheduling import RetryPolicy
+from repro.disks.scheduling import RetryPolicy, check_finite_fields
 
 
 def _is_int(value: Any) -> bool:
@@ -43,6 +43,7 @@ class DiskFailure:
     disk: int
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "time_s")
         if self.time_s < 0:
             raise ValueError(f"DiskFailure.time_s must be >= 0, got {self.time_s}")
         if not _is_int(self.disk) or self.disk < 0:
@@ -66,6 +67,7 @@ class TransientFault:
     disks: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "start_s", "end_s", "probability")
         if self.start_s < 0 or self.end_s < self.start_s:
             raise ValueError(
                 f"bad transient window [{self.start_s}, {self.end_s})"
@@ -91,6 +93,7 @@ class SlowDiskFault:
     disks: tuple[int, ...] | None = None
 
     def __post_init__(self) -> None:
+        check_finite_fields(self, "start_s", "end_s", "factor")
         if self.start_s < 0 or self.end_s < self.start_s:
             raise ValueError(f"bad slow-disk window [{self.start_s}, {self.end_s})")
         if self.factor < 1.0:
@@ -187,33 +190,35 @@ def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
     """Build a plan from the ``--faults`` JSON mapping.
 
     Unknown keys are rejected so a typo ('probabilty') fails loudly
-    instead of silently injecting nothing. Integer and bool fields are
-    passed through as parsed, not coerced, so the plan's own checks
-    refuse ``"seed": 3.7``, ``"disk": true`` or ``"rebuild": "no"``
-    instead of reading them as 3, 1 and yes.
+    instead of silently injecting nothing. Every value is passed through
+    as parsed, not coerced, so the plan's own checks refuse
+    ``"seed": 3.7``, ``"disk": true``, ``"rebuild": "no"``,
+    ``"time_s": "1"``, ``"probability": true``, a NaN time or
+    ``"max_attempts": 2.5`` instead of reading them as 3, 1, yes, 1.0,
+    1.0, a poisoned clock and a fractional retry budget.
     """
     known = {f.name for f in dataclasses.fields(FaultPlan)}
     unknown = sorted(set(data) - known)
     if unknown:
         raise ValueError(f"unknown FaultPlan keys {unknown}; known: {sorted(known)}")
     failures = tuple(
-        DiskFailure(time_s=float(d["time_s"]), disk=d["disk"])
+        DiskFailure(time_s=d["time_s"], disk=d["disk"])
         for d in data.get("disk_failures", ())
     )
     transients = tuple(
         TransientFault(
-            start_s=float(d["start_s"]),
-            end_s=float(d["end_s"]),
-            probability=float(d["probability"]),
+            start_s=d["start_s"],
+            end_s=d["end_s"],
+            probability=d["probability"],
             disks=_disk_tuple(d.get("disks")),
         )
         for d in data.get("transient_faults", ())
     )
     slows = tuple(
         SlowDiskFault(
-            start_s=float(d["start_s"]),
-            end_s=float(d["end_s"]),
-            factor=float(d["factor"]),
+            start_s=d["start_s"],
+            end_s=d["end_s"],
+            factor=d["factor"],
             disks=_disk_tuple(d.get("disks")),
         )
         for d in data.get("slow_disk_faults", ())

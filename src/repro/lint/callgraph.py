@@ -1,11 +1,10 @@
 """Cross-module symbol table and call graph for whole-program rules.
 
-Per-file AST scans catch local mistakes; the failure modes that arrived
-with the serve layer and the process fan-out are *interprocedural* — a
-simulation mutator invoked from the wrong side of the step loop, an
-unpicklable object smuggled into a process fan-out two calls away from
-the ``execute()`` site. This module gives rules the project-wide view those
-checks need, built once per lint run and memoized on
+Per-file AST scans catch local mistakes; some invariants are
+*interprocedural*. OBS001 accepts a counter increment only if its
+function emits a trace event itself or calls, possibly several calls
+and modules away, a function that does. This module gives rules that
+project-wide view, built once per lint run and memoized on
 :class:`~repro.lint.context.ProjectContext`:
 
 * a :class:`SymbolTable` — every function, method and class in the
@@ -16,8 +15,8 @@ checks need, built once per lint run and memoized on
 * a :class:`CallGraph` — resolved call edges (import-table + symbol
   table + ``self.``-method resolution on known classes) with a
   name-level fallback edge set for calls static analysis cannot pin
-  down, and the fixpoint/reachability API cross-file rules build on
-  (the OBS001 emitting-function fixpoint, PROTO dispatch resolution).
+  down, and :meth:`CallGraph.fixpoint`, which closes a property over
+  "calls a function that has it" (the OBS001 emitting-function set).
 
 Resolution is deliberately *sound for the repo's idioms, permissive
 beyond them*: an edge the builder cannot resolve degrades to a bare-name
@@ -68,14 +67,6 @@ def bare_call_name(node: ast.Call) -> str | None:
         return func.attr
     if isinstance(func, ast.Name):
         return func.id
-    return None
-
-
-def receiver_name(node: ast.Call) -> str | None:
-    """Bare name of a call's receiver (``sim.step()`` → ``sim``), if any."""
-    func = node.func
-    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-        return func.value.id
     return None
 
 
@@ -179,24 +170,6 @@ class SymbolTable:
         return self.classes.get(self.resolve(dotted))
 
 
-@dataclass(frozen=True)
-class Fixpoint:
-    """Result of a property fixpoint over the call graph.
-
-    ``qualnames`` holds the functions proven to satisfy the property
-    through resolved edges or name matching; ``names`` is the bare-name
-    projection rules use for deliberately permissive membership tests
-    (a site is accepted if *any* plausible callee satisfies).
-    """
-
-    qualnames: frozenset[str]
-    names: frozenset[str]
-
-    def covers(self, func: ast.FunctionDef | ast.AsyncFunctionDef | None) -> bool:
-        """Whether an enclosing function (by bare name) satisfies."""
-        return func is not None and func.name in self.names
-
-
 class CallGraph:
     """Caller → callee edges over every function the project loaded.
 
@@ -258,14 +231,16 @@ class CallGraph:
 
     # -- analysis API --------------------------------------------------------
 
-    def fixpoint(self, base: Callable[[FunctionInfo], bool]) -> Fixpoint:
-        """Functions satisfying ``base`` closed under "calls one that does".
+    def fixpoint(self, base: Callable[[FunctionInfo], bool]) -> frozenset[str]:
+        """Bare names of the functions satisfying ``base``, closed under
+        "calls one that does".
 
         Propagation follows resolved edges *and* bare-name edges (a
         caller satisfies if any function sharing a called name does), so
         the result is an over-approximation suited to acceptance tests:
         "this counter site plausibly pairs with an emit" — never to
-        proofs of absence.
+        proofs of absence. Rules test membership by bare name, so a site
+        is accepted if *any* plausible callee satisfies.
         """
         infos = self.symbols.functions
         qualnames = {q for q, fi in infos.items() if base(fi)}
@@ -280,26 +255,4 @@ class CallGraph:
                     qualnames.add(q)
                     names.add(fi.name)
                     changed = True
-        return Fixpoint(qualnames=frozenset(qualnames), names=frozenset(names))
-
-    def reachable_from(self, seeds: Iterable[str]) -> set[str]:
-        """Forward closure over resolved edges from seed qualnames."""
-        out: set[str] = set()
-        stack = [self.symbols.resolve(s) for s in seeds]
-        while stack:
-            current = stack.pop()
-            if current in out or current not in self.calls:
-                continue
-            out.add(current)
-            stack.extend(self.calls[current])
-        return out
-
-    def callers_of(self, target: str) -> set[str]:
-        """Qualnames whose bodies call ``target`` (resolved or by name)."""
-        canonical = self.symbols.resolve(target)
-        bare = canonical.rsplit(".", 1)[-1]
-        return {
-            q
-            for q in self.calls
-            if canonical in self.calls[q] or bare in self.called_names[q]
-        }
+        return frozenset(names)

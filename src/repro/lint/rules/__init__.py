@@ -4,12 +4,12 @@ Rule id namespaces:
 
 * ``DET00x`` — determinism (:mod:`repro.lint.rules.determinism`)
 * ``UNIT00x`` — unit consistency (:mod:`repro.lint.rules.units`)
-* ``CACHE00x`` — cache-key completeness (:mod:`repro.lint.rules.cachekey`)
+* ``CACHE002`` — CODE_VERSION guard (:mod:`repro.lint.rules.cachekey`)
 * ``OBS00x`` — observability pairing (:mod:`repro.lint.rules.obspairing`)
 * ``PERF00x`` — engine fast-path contracts (:mod:`repro.lint.rules.perf`)
 * ``PROTO003`` — serve-protocol version guard (:mod:`repro.lint.rules.protocol`)
 * ``RES00x`` — resource lifecycle (:mod:`repro.lint.rules.resources`)
-* ``CONC00x`` — concurrency safety (:mod:`repro.lint.rules.concurrency`)
+* ``CONC003`` — module-level mutable state (:mod:`repro.lint.rules.concurrency`)
 * ``LINT00x/9xx`` — engine pseudo-rules (:mod:`repro.lint.engine`)
 """
 

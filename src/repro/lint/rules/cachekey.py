@@ -1,140 +1,28 @@
-"""Cache-key completeness rule (CACHE001).
+"""Cache-key guard (CACHE002).
 
-The result cache keys runs by content hash: every spec dataclass either
-exposes an explicit ``cache_key()`` or is canonicalized field-by-field
-by ``repro.analysis.cache._canonical``. The failure mode this rule
-guards against is the *explicit* path drifting: someone adds a field to
-``TraceSpec``/``PolicySpec`` that changes behaviour, forgets to thread
-it through ``cache_key()``, and the cache silently aliases two different
-runs onto one key — returning stale results that look perfectly valid.
+The result cache keys runs by content hash plus
+``repro.analysis.cache.CODE_VERSION``. A key is only as good as that
+tag: when simulator code changes what a spec computes and the tag stays,
+old entries are served as if they were fresh. CACHE002 demands a
+CODE_VERSION bump whenever simulator code changed against the base ref;
+its findings come from :mod:`repro.lint.guard` (git history), not from
+file ASTs.
 
-CACHE001 therefore requires that every non-ClassVar field of a dataclass
-that defines ``cache_key`` is *referenced* somewhere inside that method
-(as ``self.<field>``, a bare name, or a string key) — or inside a helper
-method of the same class that ``cache_key`` (transitively) calls, which
-the project call graph resolves (:mod:`repro.lint.callgraph`), so
-factoring key construction into ``self._key_parts()`` helpers does not
-force suppressions. Fields that are deliberately excluded must be
-suppressed inline with a reason, which turns an invisible omission into
-a reviewed decision.
-
-The companion CODE_VERSION guard (CACHE002) lives in
-:mod:`repro.lint.guard` because it needs git history, not an AST.
+That every spec field reaches the key is a property of the key, not of
+the source text, so it is tested where it can be measured: the
+field-perturbation audit in ``tests/test_cache.py`` perturbs each field
+of ``RunSpec``, ``ArrayConfig``, ``TraceSpec`` (per source) and
+``PolicySpec`` (per kind) and asserts the key moves. A new field fails
+that audit until a perturbation is registered for it.
 """
 
 from __future__ import annotations
 
-import ast
 from typing import Iterator
 
 from repro.lint.context import FileContext, ProjectContext
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
-
-_DATACLASS_NAMES = {"dataclass", "dataclasses.dataclass"}
-
-
-def _is_dataclass(ctx: FileContext, node: ast.ClassDef) -> bool:
-    for deco in node.decorator_list:
-        target = deco.func if isinstance(deco, ast.Call) else deco
-        name = ctx.qualified_call_name(target)
-        if name in _DATACLASS_NAMES:
-            return True
-    return False
-
-
-def _is_classvar(annotation: ast.expr) -> bool:
-    node = annotation.value if isinstance(annotation, ast.Subscript) else annotation
-    if isinstance(node, ast.Name):
-        return node.id == "ClassVar"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "ClassVar"
-    return False
-
-
-def _field_defs(node: ast.ClassDef) -> Iterator[tuple[str, ast.AnnAssign]]:
-    for stmt in node.body:
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            if not _is_classvar(stmt.annotation):
-                yield stmt.target.id, stmt
-
-
-def _referenced_names(func: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:
-    """Identifiers a ``cache_key`` body can reach a field through:
-    ``self.x`` attributes, bare names, and string constants (dict keys
-    like ``{"trace": ...}`` count as referencing ``trace``)."""
-    names: set[str] = set()
-    for sub in ast.walk(func):
-        if isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
-        elif isinstance(sub, ast.Name):
-            names.add(sub.id)
-        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names.add(sub.value)
-    return names
-
-
-def _reachable_key_names(
-    ctx: FileContext,
-    project: ProjectContext,
-    node: ast.ClassDef,
-    cache_key: ast.FunctionDef | ast.AsyncFunctionDef,
-) -> set[str]:
-    """Names ``cache_key`` can reach, closed over same-class helpers.
-
-    The call graph resolves ``self._key_parts()``-style helper calls to
-    their method definitions; every helper's referenced names count as
-    reachable from ``cache_key`` itself, transitively.
-    """
-    reachable = _referenced_names(cache_key)
-    owner = project.symbols().class_def(f"{ctx.module}.{node.name}")
-    if owner is None:
-        return reachable
-    graph = project.call_graph()
-    start = f"{owner.qualname}.{cache_key.name}"
-    for qualname in graph.reachable_from([start]):
-        info = graph.symbols.functions.get(qualname)
-        if info is not None and f"{info.module}.{info.class_name}" == owner.qualname:
-            reachable |= _referenced_names(info.node)
-    return reachable
-
-
-def check_cache_key_completeness(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
-    """CACHE001: every field of a cache_key-bearing dataclass reaches it."""
-    for node in ast.walk(ctx.tree):
-        if not isinstance(node, ast.ClassDef) or not _is_dataclass(ctx, node):
-            continue
-        cache_key = next(
-            (stmt for stmt in node.body
-             if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-             and stmt.name == "cache_key"),
-            None,
-        )
-        if cache_key is None:
-            continue
-        reachable = _reachable_key_names(ctx, project, node, cache_key)
-        for field_name, stmt in _field_defs(node):
-            if field_name not in reachable:
-                yield (stmt.lineno, stmt.col_offset,
-                       f"field '{field_name}' of {node.name} never reaches "
-                       "cache_key(); include it or suppress with a reason — "
-                       "omitted fields alias distinct runs onto one cache key")
-
-
-register(Rule(
-    rule_id="CACHE001",
-    name="cache-key-completeness",
-    description="every field of a dataclass with cache_key() must be referenced in it",
-    severity=Severity.ERROR,
-    scopes=(),
-    check=check_cache_key_completeness,
-))
-
-#: CACHE002 (CODE_VERSION guard) is registered here so selection and
-#: suppression treat it like any rule, but its findings are produced by
-#: repro.lint.guard from git history rather than from file ASTs.
 
 
 def _no_findings(
@@ -143,6 +31,8 @@ def _no_findings(
     return iter(())
 
 
+#: CACHE002 is registered here so selection and suppression treat it
+#: like any rule; repro.lint.guard produces its findings.
 register(Rule(
     rule_id="CACHE002",
     name="code-version-guard",

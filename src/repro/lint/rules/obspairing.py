@@ -76,7 +76,7 @@ def _emitting_functions(project: ProjectContext) -> frozenset[str]:
     if cached is not None:
         return cached
 
-    emitting = project.call_graph().fixpoint(_emits_directly).names
+    emitting = project.call_graph().fixpoint(_emits_directly)
     project.cache[_EMITTING_CACHE_KEY] = emitting
     return emitting
 

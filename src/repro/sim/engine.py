@@ -32,6 +32,12 @@ class SimulationError(RuntimeError):
     """Raised when the engine is used inconsistently (e.g. scheduling in
     the past)."""
 
+    @classmethod
+    def mid_dispatch(cls, mutator: str) -> "SimulationError":
+        """The refusal an online mutator raises inside an engine callback."""
+        return cls(f"{mutator}() called from inside an engine callback; "
+                   "online mutators apply between step() calls")
+
 
 class EventHandle:
     """Cancellable reference to a scheduled event.
@@ -120,6 +126,11 @@ class Engine:
     def pending_events(self) -> int:
         """Number of live (not cancelled) events still queued. O(1)."""
         return self._live
+
+    @property
+    def dispatching(self) -> bool:
+        """True while :meth:`run` executes callbacks; online mutators refuse then."""
+        return self._running
 
     def schedule(self, time: float, callback: Callable[..., None], *args: Any) -> EventHandle:
         """Schedule ``callback(*args)`` to fire at absolute ``time``.

@@ -23,7 +23,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs.events import RequestFailed, RunEnd, RunStart, TraceEvent
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracelog import TraceLog
-from repro.sim.engine import Engine
+from repro.sim.engine import Engine, SimulationError
 from repro.sim.request import IoKind, Request
 from repro.sim.stats import DeficitTracker, LatencyRecorder, WindowAverage
 from repro.traces.model import _KIND_READ, Trace
@@ -430,6 +430,8 @@ class ArraySimulation:
         and counts toward ``num_requests`` on completion. Returns the
         request id.
         """
+        if self.engine.dispatching:
+            raise SimulationError.mid_dispatch("inject_request")
         if self._halted:
             raise RuntimeError("simulation is halted; no new requests accepted")
         if not 0 <= extent < self.array.num_extents:
@@ -464,6 +466,8 @@ class ArraySimulation:
         epoch solve) act on it online; a boost rebinds to the new
         :attr:`deficit` there.
         """
+        if self.engine.dispatching:
+            raise SimulationError.mid_dispatch("set_goal")
         if goal_s is not None and goal_s <= 0:
             raise ValueError(f"goal must be positive, got {goal_s!r}")
         self.goal_s = goal_s
@@ -480,6 +484,8 @@ class ArraySimulation:
         plan the injector refuses (ValueError) leaves the run unchanged:
         no fault state, no scheduled failure, no injector.
         """
+        if self.engine.dispatching:
+            raise SimulationError.mid_dispatch("inject_faults")
         if plan.empty:
             return
         if self.injector is not None:

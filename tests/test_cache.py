@@ -3,14 +3,23 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
+import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from repro.analysis.cache import CODE_VERSION, ResultCache, content_key
-from repro.analysis.parallel import RunSpec
+from repro.analysis.cache import CODE_VERSION, ResultCache, _canonical, content_key
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.disks.array import ArrayConfig
 from repro.disks.specs import make_multispeed_spec
+from repro.policies.tpm import TpmConfig, TpmPolicy
+from repro.traces.ingest import IngestOptions
+from repro.traces.model import Trace
+from repro.traces.synthetic import SyntheticConfig
+
+DATA = Path(__file__).parent / "data"
 
 
 @dataclasses.dataclass
@@ -18,6 +27,30 @@ class _Spec:
     a: int
     b: float
     tags: tuple[str, ...] = ()
+
+
+def _constant_rate(t):
+    return np.full_like(t, 5.0)
+
+
+def _scaled_rate(scale, t):
+    return np.full_like(t, scale)
+
+
+def _closure_rate(scale):
+    def rate(t):
+        return np.full_like(t, scale)
+    return rate
+
+
+class _Rate:
+    def __init__(self, scale):
+        self.scale = scale
+
+    def rate(self, t):
+        return np.full_like(t, self.scale)
+
+    __call__ = rate
 
 
 class TestContentKey:
@@ -60,6 +93,40 @@ class TestContentKey:
 
     def test_callable_keyed_by_name(self):
         assert content_key(make_multispeed_spec) == content_key(make_multispeed_spec)
+        assert _canonical(_constant_rate) == {"__callable__": f"{__name__}._constant_rate"}
+        assert _canonical(_Rate) == {"__callable__": f"{__name__}._Rate"}
+
+    @pytest.mark.parametrize("rate_fn", [
+        lambda t: np.full_like(t, 5.0),
+        _closure_rate(5.0),
+        _Rate(5.0).rate,
+        functools.partial(_scaled_rate, 5.0),
+        _Rate(5.0),
+    ], ids=["lambda", "closure", "bound-method", "partial", "callable-instance"])
+    def test_callable_its_name_does_not_identify_is_refused(self, rate_fn):
+        """The name of each of these ignores what it computes: two
+        lambdas, two closures or ``_Rate(1).rate`` and ``_Rate(5).rate``
+        would share one key, and a partial's or instance's key would
+        embed a memory address."""
+        config = SyntheticConfig(duration=10.0, rate_fn=rate_fn)
+        with pytest.raises(TypeError, match="module-level functions and classes"):
+            content_key(TraceSpec.from_generator("synthetic", config))
+
+    def test_cached_execute_refuses_lambda_specs_instead_of_aliasing(self, tmp_path):
+        """Two specs that differ only in a lambda ``rate_fn`` would key
+        equal, so the second run would be served the first one's result."""
+        cache = ResultCache(tmp_path)
+
+        def spec(rate_fn):
+            config = SyntheticConfig(duration=20.0, rate=50.0, rate_fn=rate_fn)
+            return RunSpec(trace=TraceSpec.from_generator("synthetic", config),
+                           array=_array_config(), policy=_policy_spec("base"))
+
+        for run in (spec(lambda t: np.full_like(t, 5.0)),
+                    spec(lambda t: np.full_like(t, 50.0))):
+            with pytest.raises(TypeError, match="lambda"):
+                execute([run], cache=cache)
+        assert len(cache) == 0
 
 
 class TestResultCache:
@@ -219,3 +286,79 @@ class TestRunSpecKeyCompleteness:
             spec, **{name: _RUN_PERTURB[name](getattr(spec, name))})
         assert content_key(spec) != content_key(changed), (
             f"RunSpec.{name} does not reach the cache key")
+
+
+# TraceSpec and PolicySpec build their keys by hand (``cache_key()``),
+# one shape per source or kind. Each field is claimed by the sources
+# that read it, with a perturbation that must move that source's key.
+
+def _inline_trace(shift=0.0):
+    times = np.array([0.0, 1.0, 2.0]) + shift
+    return Trace("inline", 8, times, np.zeros(3, dtype=np.int8),
+                 np.array([0, 1, 2]), np.zeros(3, dtype=np.int64),
+                 np.full(3, 4096, dtype=np.int64))
+
+
+#: source/kind -> (base spec, {field: perturbation}).
+_TRACE_SOURCES = {
+    "generator": (
+        lambda: TraceSpec.from_generator("synthetic", SyntheticConfig(duration=10.0)),
+        {"generator": lambda v: "flashcrowd",
+         "config": lambda v: dataclasses.replace(v, seed=v.seed + 1)}),
+    "file": (
+        lambda: TraceSpec.from_import(str(DATA / "msr_tiny.csv"), "msr", IngestOptions(seed=1)),
+        {"path": lambda v: str(DATA / "generic_tiny.csv"),  # other bytes
+         "format": lambda v: "csv",
+         "options": lambda v: dataclasses.replace(v, seed=2)}),
+    "inline": (
+        lambda: TraceSpec.from_trace(_inline_trace()),
+        {"trace": lambda v: _inline_trace(shift=0.5)}),
+}
+
+_POLICY_KINDS = {
+    "named": (
+        lambda: PolicySpec.named("tpm", threshold_multiple=1.0),
+        {"name": lambda v: "drpm",
+         "params": lambda v: {"threshold_multiple": 2.0}}),
+    "instance": (
+        lambda: PolicySpec.from_instance(TpmPolicy(TpmConfig())),
+        {"instance": lambda v: TpmPolicy(TpmConfig(threshold_multiple=2.0))}),
+}
+
+
+def _assert_field_moves_key(cls, sources, name):
+    claims = {src: (make, perturb[name])
+              for src, (make, perturb) in sources.items() if name in perturb}
+    assert claims, (
+        f"new {cls.__name__} field {name!r} has no perturbation registered "
+        "for any source; add one here and confirm it reaches the cache key")
+    for src, (make, perturb) in claims.items():
+        spec = make()
+        changed = dataclasses.replace(spec, **{name: perturb(getattr(spec, name))})
+        assert content_key(spec) != content_key(changed), (
+            f"{cls.__name__}.{name} does not reach the {src} cache key")
+
+
+class TestTraceSpecKeyCompleteness:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(TraceSpec)])
+    def test_every_field_perturbs_the_key(self, name):
+        _assert_field_moves_key(TraceSpec, _TRACE_SOURCES, name)
+
+    @pytest.mark.parametrize("arg", [
+        p for p in inspect.signature(Trace).parameters])
+    def test_inline_key_covers_every_trace_column(self, arg):
+        """An inline trace is keyed by its content: each constructor
+        argument of :class:`Trace` must move the key."""
+        base = _inline_trace()
+        args = {p: getattr(base, p) for p in inspect.signature(Trace).parameters}
+        args[arg] = "other" if arg == "name" else args[arg] + 1  # every column too
+        changed = Trace(**args)
+        assert (content_key(TraceSpec.from_trace(base))
+                != content_key(TraceSpec.from_trace(changed))), (
+            f"inline TraceSpec key ignores Trace.{arg}")
+
+
+class TestPolicySpecKeyCompleteness:
+    @pytest.mark.parametrize("name", [f.name for f in dataclasses.fields(PolicySpec)])
+    def test_every_field_perturbs_the_key(self, name):
+        _assert_field_moves_key(PolicySpec, _POLICY_KINDS, name)

@@ -120,6 +120,49 @@ class TestPlanJson:
         with pytest.raises(ValueError):
             load_fault_plan(path)
 
+    @pytest.mark.parametrize("plan, field", [
+        ({"disk_failures": [{"time_s": True, "disk": 0}]}, "time_s"),
+        ({"disk_failures": [{"time_s": "1", "disk": 0}]}, "time_s"),
+        ({"disk_failures": [{"time_s": float("nan"), "disk": 0}]}, "time_s"),
+        ({"transient_faults": [{"start_s": "1", "end_s": 9.0, "probability": 0.1}]}, "start_s"),
+        ({"transient_faults": [{"start_s": 0.0, "end_s": float("inf"), "probability": 0.1}]},
+         "end_s"),
+        ({"transient_faults": [{"start_s": 0.0, "end_s": 9.0, "probability": True}]},
+         "probability"),
+        ({"slow_disk_faults": [{"start_s": 0.0, "end_s": 9.0, "factor": float("nan")}]},
+         "factor"),
+        ({"retry": {"max_attempts": 2.5}}, "max_attempts"),
+        ({"retry": {"max_attempts": True}}, "max_attempts"),
+        ({"retry": {"backoff_s": "0.01"}}, "backoff_s"),
+        ({"retry": {"backoff_multiplier": float("inf")}}, "backoff_multiplier"),
+    ], ids=["time-bool", "time-string", "time-nan", "start-string", "end-inf",
+            "probability-bool", "factor-nan", "attempts-float", "attempts-bool",
+            "backoff-string", "multiplier-inf"])
+    def test_numbers_are_checked_not_coerced(self, plan, field):
+        with pytest.raises(ValueError, match=field):
+            fault_plan_from_dict(plan)
+
+    def test_json_integers_are_read_as_floats(self):
+        plan = fault_plan_from_dict({
+            "disk_failures": [{"time_s": 5, "disk": 0}],
+            "slow_disk_faults": [{"start_s": 0, "end_s": 9, "factor": 2}],
+            "retry": {"max_attempts": 2, "backoff_s": 0, "backoff_multiplier": 1},
+        })
+        assert plan == fault_plan_from_dict({
+            "disk_failures": [{"time_s": 5.0, "disk": 0}],
+            "slow_disk_faults": [{"start_s": 0.0, "end_s": 9.0, "factor": 2.0}],
+            "retry": {"max_attempts": 2, "backoff_s": 0.0, "backoff_multiplier": 1.0},
+        })
+        assert type(plan.disk_failures[0].time_s) is float
+        assert type(plan.retry.backoff_s) is float
+
+    def test_nan_in_a_faults_file_is_refused(self, tmp_path):
+        """``json.load`` accepts a bare NaN literal; the plan must not."""
+        path = tmp_path / "plan.json"
+        path.write_text('{"disk_failures": [{"time_s": NaN, "disk": 0}]}\n')
+        with pytest.raises(ValueError, match="time_s must be a finite number"):
+            load_fault_plan(path)
+
 
 class TestEmptyPlanIdentity:
     def test_empty_plan_matches_no_plan(self, small_config):

@@ -5,8 +5,10 @@ from __future__ import annotations
 
 import pytest
 
-from repro.analysis.experiments import default_array_config, run_comparison
+from repro.analysis.experiments import default_array_config, run_comparison, run_single
+from repro.analysis.parallel import PolicySpec
 from repro.core.hibernator import HibernatorConfig
+from repro.policies.always_on import AlwaysOnPolicy
 from repro.traces.oltp import OltpConfig, generate_oltp
 
 
@@ -76,3 +78,55 @@ def test_migration_only_for_migrating_schemes(oltp_comparison):
     assert oltp_comparison.results["Base"].migration_extents == 0
     assert oltp_comparison.results["TPM"].migration_extents == 0
     assert oltp_comparison.results["DRPM"].migration_extents == 0
+
+
+# -- S3 and S6: the F5 and F7 sweeps at test scale ---------------------------
+
+
+@pytest.fixture(scope="module")
+def short_oltp():
+    return generate_oltp(OltpConfig(duration=600.0, rate=100.0,
+                                    num_extents=400, seed=51))
+
+
+def _hibernator_vs_base(trace, levels: int, slacks) -> list[tuple[float, bool]]:
+    """Hibernator's savings over Base on 8 disks with ``levels`` speeds,
+    and whether it met the goal, for a goal of each slack x Base's mean
+    response."""
+    config = default_array_config(num_disks=8, num_extents=400, num_speed_levels=levels)
+    base = run_single(trace, config, AlwaysOnPolicy())
+    points = []
+    for slack in slacks:
+        goal = slack * base.mean_response_s
+        policy, hib_config = PolicySpec.named("hibernator", epoch_seconds=200.0).build(
+            trace, config)
+        result = run_single(trace, hib_config, policy, goal_s=goal)
+        points.append((result.energy_savings_vs(base), result.mean_response_s <= goal))
+    return points
+
+
+def test_s3_savings_grow_with_slack(short_oltp):
+    """S3 (F5): the looser the goal, the more Hibernator saves; with
+    almost no slack it stays at Base."""
+    points = _hibernator_vs_base(short_oltp, 5, (1.05, 1.5, 2.0, 3.0))
+    savings = [sav for sav, _ in points]
+    for a, b in zip(savings, savings[1:]):
+        assert b >= a - 0.02
+    assert savings[0] < 0.25
+    assert savings[-1] > 0.45
+    assert savings[-1] > savings[0] + 0.2
+    assert all(meets for _, meets in points)
+
+
+def test_s6_more_speed_levels_with_diminishing_returns(short_oltp):
+    """S6 (F7): one speed level gives Hibernator nothing, two unlock most
+    of the benefit, and further levels add less."""
+    points = {levels: _hibernator_vs_base(short_oltp, levels, (2.0,))[0]
+              for levels in (1, 2, 3, 5)}
+    savings = {levels: sav for levels, (sav, _) in points.items()}
+    assert abs(savings[1]) < 0.05
+    assert savings[2] > 0.2
+    assert savings[3] >= savings[2] - 0.02
+    assert savings[5] >= savings[3] - 0.02
+    assert savings[2] - savings[1] > savings[5] - savings[3]
+    assert all(meets for _, meets in points.values())

@@ -146,13 +146,11 @@ class TestReporters:
 
     def test_rule_catalog_is_complete(self):
         rules = all_rules()
-        for rule_id in ("DET001", "DET002", "DET003", "DET004", "UNIT001",
-                        "UNIT002", "CACHE001", "CACHE002", "OBS001", "OBS002",
-                        "PERF001", "PROTO003",
-                        "RES001", "RES002", "CONC001", "CONC002", "CONC003",
-                        "LINT000", "LINT999"):
-            assert rule_id in rules
-            assert rules[rule_id].description
+        assert set(rules) == {
+            "DET001", "DET002", "DET003", "DET004", "UNIT001", "UNIT002",
+            "CACHE002", "OBS001", "OBS002", "PERF001", "PROTO003",
+            "RES001", "RES002", "CONC003", "LINT000", "LINT999"}
+        assert all(rule.description for rule in rules.values())
 
     def test_docs_catalog_in_sync_with_registry(self):
         """Doc-sync gate: every registered rule id has a catalog entry in
@@ -301,9 +299,9 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """ArraySimulation.inject_faults assigns its injector only once the
-    plan is installed, so a refused mid-run plan no longer leaves its
-    injector (and retry/rebuild settings) behind. Every golden digest
-    is unchanged, but a semantics-bearing module (sim/runner.py)
-    changed, so the guard demands a bump."""
-    assert CODE_VERSION == "2026.08-10"
+    """The online mutators refuse to run inside an engine callback
+    (sim/runner.py, core/hibernator.py), and RetryPolicy checks its
+    numbers instead of accepting bools and fractions (disks/). Every
+    golden digest is unchanged, but semantics-bearing modules changed,
+    so the guard demands a bump."""
+    assert CODE_VERSION == "2026.08-11"

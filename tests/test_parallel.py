@@ -212,6 +212,14 @@ def _square_metrics(v: float) -> dict[str, float]:
     return {"y": v * v}
 
 
+class _Offset:
+    def __init__(self, offset: float) -> None:
+        self.offset = offset
+
+    def metrics(self, v: float) -> dict[str, float]:
+        return {"y": v + self.offset}
+
+
 class TestSweep:
     def test_sequential_default(self):
         points = sweep([1.0, 2.0, 3.0], _square_metrics)
@@ -239,3 +247,10 @@ class TestSweep:
         assert sweep([2.0], lambda v: {"y": -v}, cache=cache, cache_tag="ident")[0].metrics == {
             "y": 2.0
         }  # served from cache under the shared tag
+
+    def test_bound_method_needs_explicit_tag(self, tmp_path):
+        """Its qualname names the class, not the instance: ``_Offset(1).metrics``
+        and ``_Offset(5).metrics`` would share one cache entry."""
+        cache = ResultCache(tmp_path)
+        with pytest.raises(ValueError, match="cache_tag"):
+            sweep([1.0], _Offset(1.0).metrics, cache=cache)

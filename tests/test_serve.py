@@ -42,6 +42,7 @@ from repro.policies.always_on import AlwaysOnPolicy
 from repro.serve import protocol
 from repro.serve.client import ServeClient
 from repro.serve.daemon import MAX_LINE_BYTES, ServeDaemon, run_replay_quiet
+from repro.sim.engine import SimulationError
 from repro.sim.request import IoKind
 from repro.sim.runner import ArraySimulation
 from repro.traces.model import TraceBuilder
@@ -461,9 +462,15 @@ class TestRefusedFaultPlans:
         ({"rebuild_max_inflight": True, "disk_failures": [_FAILURE]}, "rebuild_max_inflight"),
         ({"rebuild": "no", "disk_failures": [_FAILURE]}, "rebuild"),
         ({"rebuild": 0, "disk_failures": [_FAILURE]}, "rebuild"),
+        ({"disk_failures": [{"time_s": True, "disk": 1}]}, "time_s"),
+        ({"transient_faults": [dict(_WINDOW, start_s="1")]}, "start_s"),
+        ({"transient_faults": [dict(_WINDOW, probability=True)]}, "probability"),
+        ({"retry": {"max_attempts": 2.5}, "disk_failures": [_FAILURE]}, "max_attempts"),
+        ({"retry": {"max_attempts": True}, "disk_failures": [_FAILURE]}, "max_attempts"),
     ], ids=["seed-float", "seed-bool", "seed-negative", "disk-float", "disk-bool",
             "window-disk-float", "inflight-float", "inflight-bool", "rebuild-string",
-            "rebuild-int"])
+            "rebuild-int", "time-bool", "start-string", "probability-bool",
+            "attempts-float", "attempts-bool"])
     def test_plan_fields_are_checked_not_coerced(self, small_config, tmp_path, plan, field):
         sim, daemon = _begun_daemon(small_config, tmp_path)
         reply = daemon._dispatch(protocol.encode_line({"cmd": "inject-fault", "plan": plan}))
@@ -672,6 +679,34 @@ class TestIncrementalRunner:
         assert sim.goal_s == 0.5 and sim.deficit is not None
         sim.set_goal(None)
         assert sim.goal_s is None and sim.deficit is None
+
+
+class TestMutatorsBetweenSteps:
+    """The online mutators apply between ``step()`` calls, as the daemon
+    makes them. Called from inside an engine callback (a policy hook, a
+    timer) they raise instead of making the run depend on event order."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda sim: sim.set_goal(0.5),
+        lambda sim: sim.inject_request(kind=IoKind.READ, extent=3),
+        lambda sim: sim.inject_faults(FaultPlan(transient_faults=(
+            TransientFault(start_s=0.0, end_s=1e9, probability=0.5),))),
+        lambda sim: sim.policy.force_boost(sim.engine.now),
+    ], ids=["set_goal", "inject_request", "inject_faults", "force_boost"])
+    def test_mutator_raises_inside_an_engine_callback(self, small_config, mutate):
+        sim = build_sim(small_config)
+        sim.begin()
+        sim.step(max_events=500)
+        injected, boosted = sim.injected_requests, sim.policy.boost.boosted
+        sim.engine.schedule(sim.engine.now, mutate, sim)
+        with pytest.raises(SimulationError, match="between step"):
+            sim.step()
+        assert not sim.engine.dispatching
+        assert sim.goal_s == 0.2 and sim.injector is None
+        assert sim.injected_requests == injected
+        assert sim.policy.boost.boosted == boosted
+        # Between steps the same call goes through.
+        mutate(sim)
 
 
 class TestFaultPlanShifting:
