@@ -135,11 +135,21 @@ def _add_faults_option(parser: argparse.ArgumentParser) -> None:
 
 
 def _load_faults(args: argparse.Namespace):
+    """The ``--faults`` plan, or None without one. A file that cannot be
+    read, is not JSON or holds a refused plan ends the command with one
+    line on stderr, ``repro <cmd>: <path>: <reason>``, and exit status 2."""
     if not getattr(args, "faults", None):
         return None
     from repro.faults.plan import load_fault_plan
 
-    return load_fault_plan(args.faults)
+    try:
+        return load_fault_plan(args.faults)
+    except OSError as exc:
+        reason = exc.strerror or str(exc)
+    except ValueError as exc:  # json.JSONDecodeError included
+        reason = str(exc)
+    print(f"repro {args.command}: {args.faults}: {reason}", file=sys.stderr)
+    raise SystemExit(2)
 
 
 def _add_epoch_options(parser: argparse.ArgumentParser) -> None:
@@ -334,9 +344,9 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    faults = _load_faults(args)
     trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
-    faults = _load_faults(args)
     base = None
     goal = None
     if args.policy != "base" and args.slack is not None:
@@ -358,6 +368,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    faults = _load_faults(args)
     trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
     cache = _make_cache(args)
@@ -366,7 +377,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
         hibernator_config=HibernatorConfig(epoch_seconds=args.epoch,
                                            migration=args.migration),
         jobs=args.jobs, cache=cache, observe=bool(args.trace_out),
-        faults=_load_faults(args),
+        faults=faults,
     )
     if args.trace_out:
         _write_trace_out(comparison.all_events(), args.trace_out)
@@ -442,6 +453,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from repro.sim.runner import ArraySimulation
     from repro.traces.model import TraceBuilder
 
+    faults = _load_faults(args)
     if args.live:
         if args.replay:
             print("repro serve: --live and --replay are mutually exclusive",
@@ -465,7 +477,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     policy, policy_config = _policy_spec(args).build(trace, config)
     sim = ArraySimulation(
         trace, policy_config, policy, goal_s=goal,
-        observe=bool(args.trace_out), faults=_load_faults(args),
+        observe=bool(args.trace_out), faults=faults,
         live=args.live,
     )
     daemon = ServeDaemon(

@@ -21,15 +21,24 @@ meets the goal. If no candidate is predicted to meet the goal the
 assignment falls back to all disks at full speed — the same conservative
 choice the performance guarantee would force anyway.
 
-The search enumerates all non-decreasing boundary vectors (compositions
-of N disks over K speeds) with branch-and-bound pruning on both partial
-energy and partial weighted response; for the paper-scale arrays
-(N <= 32, K <= 5) this is exhaustive and exact within the monotone
-hot-to-fast layout family.
+The search is exact within the monotone hot-to-fast layout family for
+every N and K: of the C(N+K-1, K-1) non-decreasing boundary vectors
+(compositions of N disks over K speeds) it skips only those a prune
+proves cannot win, and it returns the lexicographically first
+minimum-energy candidate. Each tier's energy, weighted response and
+saturation are tabulated per (speed, lo, hi) once per solve with numpy.
+The leading boundaries are walked in Python with branch-and-bound
+pruning on partial energy and partial weighted response; every
+completion of a leading prefix is one contiguous block of a cached table
+of trailing boundary vectors, scored in one vectorized pass. A block
+holds at most ``_BLOCK_ROWS`` vectors, so memory stays bounded at any
+width and speed count.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -130,6 +139,49 @@ def _extent_boundaries(num_extents: int, num_disks: int, boundaries: tuple[int, 
     return tuple(out)
 
 
+#: Most boundary vectors one numpy block scores, and so the most rows a
+#: cached suffix table holds. It bounds the search's memory at any width:
+#: 48 disks at 8 speeds have ~2e8 boundary vectors.
+_BLOCK_ROWS = 1 << 16
+
+
+def _trailing_width(num_disks: int, free: int) -> int:
+    """How many of the ``free`` trailing boundaries one block covers: the
+    most whose non-decreasing vectors over ``[0, num_disks]`` fit the cap."""
+    width = free
+    while width > 0 and math.comb(num_disks + width, width) > _BLOCK_ROWS:
+        width -= 1
+    return width
+
+
+@functools.lru_cache(maxsize=8)
+def _suffix_table(num_disks: int, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every non-decreasing ``width``-vector over ``[0, num_disks]``.
+
+    Returns ``(table, starts)``: ``table`` holds the vectors as columns in
+    lexicographic order, one row per position (``width`` rows), in the
+    smallest unsigned dtype that holds ``num_disks``. The vectors whose
+    entries are all ``>= c`` are exactly the columns from ``starts[c]``
+    on -- one contiguous block per value of the preceding boundary.
+    """
+    rows = math.comb(num_disks + width, width)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(
+            itertools.combinations_with_replacement(range(num_disks + 1), width)
+        ),
+        dtype=np.min_scalar_type(num_disks),
+        count=rows * width,
+    )
+    table = np.ascontiguousarray(flat.reshape(rows, width).T)
+    if width:
+        starts = np.searchsorted(table[0], np.arange(num_disks + 1))
+    else:
+        starts = np.zeros(num_disks + 1, dtype=np.intp)
+    table.flags.writeable = False
+    starts.flags.writeable = False
+    return table, starts
+
+
 def solve_speed_assignment(
     heat: np.ndarray,
     num_disks: int,
@@ -177,120 +229,145 @@ def solve_speed_assignment(
     # Constraint in sum form: sum_t lambda_t * R_t <= goal * Lambda.
     response_budget = math.inf if planning_goal is None else planning_goal * total_lambda
 
-    # Per-(speed, boundary-pair) tier evaluation, built incrementally in
-    # the recursion below.
-    def tier_cost(speed_idx: int, disk_lo: int, disk_hi: int) -> tuple[float, float, TierPrediction] | None:
-        """(energy_J, weighted_response, prediction) for one tier, or
-        None when the tier is saturated."""
+    # extent_of[d]: the first (hottest-first) extent at disk position d;
+    # position N lies past the last extent.
+    extent_of = np.array([int(round(d * share)) for d in range(num_disks)] + [num_extents])
+    moments = [model.moments(rpm) for rpm in speeds_desc]
+    mean = np.array([m.mean for m in moments])
+    second = np.array([m.second for m in moments])
+    idle_watts = np.array([spec.idle_watts(rpm) for rpm in speeds_desc])
+
+    def tier_terms(speed_idx, disk_lo, disk_hi):
+        """One tier's M/G/1 and energy terms over broadcast arrays of speed
+        index and disk range ``[disk_lo, disk_hi)``. Each float operation
+        and its order is fixed: the search compares these sums bit for bit.
+        """
         n = disk_hi - disk_lo
-        rpm = speeds_desc[speed_idx]
-        e_lo = int(round(disk_lo * share)) if disk_lo < num_disks else num_extents
-        e_hi = num_extents if disk_hi == num_disks else int(round(disk_hi * share))
-        e_hi = max(e_hi, e_lo)
-        tier_lambda = float(prefix[e_hi] - prefix[e_lo])
-        per_disk = tier_lambda / n
-        moments = model.moments(rpm)
-        rho = per_disk * moments.mean
-        if rho >= model.max_utilization and tier_lambda > 0:
-            return None
-        if tier_lambda > 0:
-            wait = per_disk * moments.second / (2.0 * (1.0 - rho))
-            response = moments.mean + wait
-        else:
-            response = moments.mean
-            rho = 0.0
-        energy = n * spec.idle_watts(rpm) * epoch_seconds
-        energy += tier_lambda * moments.mean * spec.seek_watts * epoch_seconds
+        e_lo = extent_of[disk_lo]
+        e_hi = np.maximum(extent_of[disk_hi], e_lo)
+        tier_lambda = prefix[e_hi] - prefix[e_lo]
+        loaded = tier_lambda > 0
+        # Empty ranges divide 0 by 0 and saturated ones by 1 - rho <= 0;
+        # the tables mask both.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            per_disk = tier_lambda / n
+            rho = per_disk * mean[speed_idx]
+            wait = per_disk * second[speed_idx] / (2.0 * (1.0 - rho))
+        saturated = (rho >= model.max_utilization) & loaded
+        response = np.where(loaded, mean[speed_idx] + wait, mean[speed_idx])
+        energy = n * idle_watts[speed_idx] * epoch_seconds
+        energy = energy + tier_lambda * mean[speed_idx] * spec.seek_watts * epoch_seconds
+        rho = np.where(loaded, rho, 0.0)
+        return tier_lambda, per_disk, rho, response, energy, tier_lambda * response, saturated
+
+    def tier_cost(speed_idx: int, disk_lo: int, disk_hi: int) -> tuple[float, float, TierPrediction, bool]:
+        """(energy_J, weighted_response, prediction, saturated) for one tier."""
+        tier_lambda, per_disk, rho, response, energy, weighted, saturated = (
+            term.item() for term in tier_terms(speed_idx, disk_lo, disk_hi)
+        )
         prediction = TierPrediction(
-            rpm=rpm,
-            num_disks=n,
+            rpm=speeds_desc[speed_idx],
+            num_disks=disk_hi - disk_lo,
             tier_lambda=tier_lambda,
             per_disk_lambda=per_disk,
             utilization=rho,
             response_s=response,
         )
-        return energy, tier_lambda * response, prediction
+        return energy, weighted, prediction, saturated
 
-    def change_penalty(boundaries: tuple[int, ...]) -> float:
-        if prev_boundaries is None or cfg.change_penalty_joules == 0.0:
-            return 0.0
-        if len(prev_boundaries) != len(boundaries):
-            return 0.0
-        moved = sum(
-            abs(boundaries[t] - prev_boundaries[t]) for t in range(1, len(boundaries) - 1)
-        )
-        return moved * cfg.change_penalty_joules
+    # Every tier's energy and weighted response per speed, flat: tier
+    # [lo, hi) sits at lo * stride + hi. A saturated tier costs infinite
+    # energy, so no candidate holding one is ever a strict minimum; an
+    # empty tier (lo == hi) adds exactly 0.0.
+    stride = np.intp(num_disks + 1)
+    positions = np.arange(num_disks + 1)
+    lo, hi = positions[:, None], positions[None, :]
+    energy_flat = np.empty((num_speeds, stride * stride))
+    weighted_flat = np.empty((num_speeds, stride * stride))
+    for t in range(num_speeds):
+        *_, energy, weighted, saturated = tier_terms(t, lo, hi)
+        energy_flat[t] = np.where(hi > lo, np.where(saturated, np.inf, energy), 0.0).ravel()
+        weighted_flat[t] = np.where(hi > lo, np.where(saturated, np.inf, weighted), 0.0).ravel()
+
+    # moves[t, b]: how far boundary t moves when it lands on position b;
+    # None when no change penalty applies.
+    moves = None
+    if (
+        prev_boundaries is not None
+        and cfg.change_penalty_joules != 0.0
+        and len(prev_boundaries) == num_speeds + 1
+    ):
+        moves = np.abs(positions - np.asarray(prev_boundaries)[:, None])
+
+    # Boundaries 1..K-1 are free. The leading ones are walked in Python
+    # with branch-and-bound prunes; every completion of a leading prefix
+    # is one contiguous block of the cached suffix table, scored at once.
+    width = _trailing_width(num_disks, num_speeds - 1)
+    lead = num_speeds - 1 - width
+    suffix, starts = _suffix_table(num_disks, width)
+    lead_energy = energy_flat[:lead].reshape(lead, stride, stride).tolist()
+    lead_weighted = weighted_flat[:lead].reshape(lead, stride, stride).tolist()
+    lead_moves = moves.tolist() if moves is not None else None
 
     best_energy = math.inf
-    best: tuple[tuple[int, ...], list[TierPrediction], float, float] | None = None
+    best: tuple[int, ...] | None = None
 
-    # Depth-first enumeration of non-decreasing boundary vectors.
-    def recurse(
-        speed_idx: int,
-        disk_cursor: int,
-        partial_energy: float,
-        partial_weighted: float,
-        partial_boundaries: list[int],
-        partial_predictions: list[TierPrediction],
-    ) -> None:
+    def score(cursor, energy, weighted, moved, bounds):
+        """Try every completion of ``bounds`` (which ends at ``cursor``)."""
         nonlocal best_energy, best
-        if speed_idx == num_speeds - 1:
-            # Last (slowest) tier takes all remaining disks.
-            lo, hi = disk_cursor, num_disks
-            boundaries = tuple(partial_boundaries + [num_disks])
-            if hi > lo:
-                result = tier_cost(speed_idx, lo, hi)
-                if result is None:
-                    return
-                energy, weighted, prediction = result
-                partial_energy += energy
-                partial_weighted += weighted
-                predictions = partial_predictions + [prediction]
-            else:
-                predictions = list(partial_predictions)
-            if partial_weighted > response_budget:
-                return
-            total = partial_energy + change_penalty(boundaries)
-            if total < best_energy:
-                best_energy = total
-                response = partial_weighted / total_lambda if total_lambda > 0 else 0.0
-                best = (boundaries, predictions, partial_energy, response)
+        rows = suffix[:, starts[cursor]:]
+        cuts = [cursor, *rows, num_disks]
+        # Sum tier by tier in tier order, so every total rounds exactly as
+        # in a one-candidate-at-a-time search (tests/cr_reference.py). The
+        # np.intp stride promotes the narrow unsigned rows: no index wraps.
+        for t in range(lead, num_speeds):
+            at = cuts[t - lead] * stride + cuts[t - lead + 1]
+            energy += energy_flat[t].take(at)
+            weighted += weighted_flat[t].take(at)
+        total = energy
+        if moves is not None:
+            for t, row in enumerate(rows, start=lead + 1):
+                moved += moves[t].take(row)
+            total = energy + moved * cfg.change_penalty_joules
+        total = np.where(weighted > response_budget, np.inf, total)
+        # argmin returns the first minimum: the lexicographically first.
+        i = int(np.argmin(total))
+        if total.flat[i] < best_energy:
+            best_energy = float(total.flat[i])
+            best = (*bounds, *(int(row[i]) for row in rows), num_disks)
+
+    def walk(t: int, cursor: int, energy: float, weighted: float, moved: int, bounds: tuple[int, ...]) -> None:
+        if t == lead:
+            score(cursor, energy, weighted, moved, bounds)
             return
-        for next_cursor in range(disk_cursor, num_disks + 1):
-            energy = partial_energy
-            weighted = partial_weighted
-            predictions = partial_predictions
-            if next_cursor > disk_cursor:
-                result = tier_cost(speed_idx, disk_cursor, next_cursor)
-                if result is None:
+        for next_cursor in range(cursor, num_disks + 1):
+            tier_energy, tier_weighted = energy, weighted
+            if next_cursor > cursor:
+                tier_energy = energy + lead_energy[t][cursor][next_cursor]
+                tier_weighted = weighted + lead_weighted[t][cursor][next_cursor]
+                # Partial sums only grow, so neither prune drops a
+                # candidate that could still be the first strict minimum.
+                if tier_weighted > response_budget or tier_energy >= best_energy:
                     continue
-                tier_energy, tier_weighted, prediction = result
-                energy = partial_energy + tier_energy
-                weighted = partial_weighted + tier_weighted
-                if weighted > response_budget:
-                    continue
-                if energy >= best_energy:
-                    continue
-                predictions = partial_predictions + [prediction]
-            recurse(
-                speed_idx + 1,
+            walk(
+                t + 1,
                 next_cursor,
-                energy,
-                weighted,
-                partial_boundaries + [next_cursor],
-                predictions,
+                tier_energy,
+                tier_weighted,
+                (moved + lead_moves[t + 1][next_cursor]) if lead_moves is not None else 0,
+                bounds + (next_cursor,),
             )
 
-    recurse(0, 0, 0.0, 0.0, [0], [])
+    walk(0, 0, 0.0, 0.0, 0, (0,))
+    del walk  # its closure refers to itself; drop the cycle so the tables free now
 
     if best is None:
         # Nothing met the goal: fall back to everything at full speed.
         boundaries = tuple([0, num_disks] + [num_disks] * (num_speeds - 1))
-        result = tier_cost(0, 0, num_disks)
-        if result is None:
+        energy, weighted, prediction, saturated = tier_cost(0, 0, num_disks)
+        if saturated:
             # Even full speed saturates; report it anyway (the simulation
             # will show the overload, as the real system would).
-            moments = model.moments(speeds_desc[0])
             prediction = TierPrediction(
                 rpm=speeds_desc[0],
                 num_disks=num_disks,
@@ -301,8 +378,6 @@ def solve_speed_assignment(
             )
             energy = num_disks * spec.active_watts(speeds_desc[0]) * epoch_seconds
             weighted = math.inf
-        else:
-            energy, weighted, prediction = result
         return SpeedAssignment(
             speeds_desc=speeds_desc,
             boundaries=boundaries,
@@ -313,14 +388,21 @@ def solve_speed_assignment(
             feasible=False,
         )
 
-    boundaries, predictions, energy, response = best
+    energy = weighted = 0.0
+    predictions = []
+    for t in range(num_speeds):
+        if best[t + 1] > best[t]:
+            tier_energy, tier_weighted, prediction, _ = tier_cost(t, best[t], best[t + 1])
+            energy += tier_energy
+            weighted += tier_weighted
+            predictions.append(prediction)
     return SpeedAssignment(
         speeds_desc=speeds_desc,
-        boundaries=boundaries,
-        extent_boundaries=_extent_boundaries(num_extents, num_disks, boundaries),
+        boundaries=best,
+        extent_boundaries=_extent_boundaries(num_extents, num_disks, best),
         predictions=predictions,
         predicted_energy_joules=energy,
-        predicted_response_s=response,
+        predicted_response_s=weighted / total_lambda if total_lambda > 0 else 0.0,
         feasible=True,
     )
 

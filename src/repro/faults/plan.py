@@ -182,53 +182,71 @@ def fault_plan_to_dict(plan: FaultPlan) -> dict[str, Any]:
     return dataclasses.asdict(plan)
 
 
-def _disk_tuple(disks: Any) -> tuple[int, ...] | None:
-    return None if disks is None else tuple(disks)
+def _checked_keys(data: Any, cls: type, where: str) -> dict[str, Any]:
+    """``data`` as the JSON object for one ``cls``: every key a field of
+    ``cls`` and every field without a default present."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{where} must be a JSON object, got {data!r}")
+    fields = dataclasses.fields(cls)
+    known = sorted(f.name for f in fields)
+    unknown = sorted(set(data) - set(known))
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known: {known}")
+    missing = [
+        f.name for f in fields
+        if f.name not in data
+        and f.default is dataclasses.MISSING
+        and f.default_factory is dataclasses.MISSING
+    ]
+    if missing:
+        raise ValueError(f"{where} is missing keys {missing}; known: {known}")
+    return data
+
+
+def _entries(data: dict[str, Any], section: str, cls: type) -> tuple[Any, ...]:
+    """Build each entry of one list section, its keys checked like the
+    plan's own; a window's ``disks`` list becomes a tuple."""
+    entries = data.get(section, ())
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"{section} must be a list, got {entries!r}")
+    built = []
+    for i, entry in enumerate(entries):
+        where = f"{section}[{i}]"
+        fields = dict(_checked_keys(entry, cls, where))
+        disks = fields.get("disks")
+        if disks is not None:
+            if not isinstance(disks, (list, tuple)):
+                raise ValueError(f"{where}.disks must be a list of disks or null, got {disks!r}")
+            fields["disks"] = tuple(disks)
+        built.append(cls(**fields))
+    return tuple(built)
 
 
 def fault_plan_from_dict(data: dict[str, Any]) -> FaultPlan:
     """Build a plan from the ``--faults`` JSON mapping.
 
-    Unknown keys are rejected so a typo ('probabilty') fails loudly
-    instead of silently injecting nothing. Every value is passed through
-    as parsed, not coerced, so the plan's own checks refuse
+    Unknown keys are rejected, at the top level, in every
+    ``disk_failures``/``transient_faults``/``slow_disk_faults`` entry and
+    in ``retry``, so a typo ('probabilty', ``"disk"`` for ``"disks"`` in
+    a window) fails loudly instead of silently injecting nothing or
+    widening a window to every disk. Every value is passed through as
+    parsed, not coerced, so the plan's own checks refuse
     ``"seed": 3.7``, ``"disk": true``, ``"rebuild": "no"``,
     ``"time_s": "1"``, ``"probability": true``, a NaN time or
     ``"max_attempts": 2.5`` instead of reading them as 3, 1, yes, 1.0,
     1.0, a poisoned clock and a fractional retry budget.
     """
-    known = {f.name for f in dataclasses.fields(FaultPlan)}
-    unknown = sorted(set(data) - known)
-    if unknown:
-        raise ValueError(f"unknown FaultPlan keys {unknown}; known: {sorted(known)}")
-    failures = tuple(
-        DiskFailure(time_s=d["time_s"], disk=d["disk"])
-        for d in data.get("disk_failures", ())
-    )
-    transients = tuple(
-        TransientFault(
-            start_s=d["start_s"],
-            end_s=d["end_s"],
-            probability=d["probability"],
-            disks=_disk_tuple(d.get("disks")),
-        )
-        for d in data.get("transient_faults", ())
-    )
-    slows = tuple(
-        SlowDiskFault(
-            start_s=d["start_s"],
-            end_s=d["end_s"],
-            factor=d["factor"],
-            disks=_disk_tuple(d.get("disks")),
-        )
-        for d in data.get("slow_disk_faults", ())
-    )
+    _checked_keys(data, FaultPlan, "FaultPlan")
     retry_data = data.get("retry")
-    retry = RetryPolicy(**retry_data) if retry_data is not None else RetryPolicy()
+    retry = (
+        RetryPolicy(**_checked_keys(retry_data, RetryPolicy, "retry"))
+        if retry_data is not None
+        else RetryPolicy()
+    )
     return FaultPlan(
-        disk_failures=failures,
-        transient_faults=transients,
-        slow_disk_faults=slows,
+        disk_failures=_entries(data, "disk_failures", DiskFailure),
+        transient_faults=_entries(data, "transient_faults", TransientFault),
+        slow_disk_faults=_entries(data, "slow_disk_faults", SlowDiskFault),
         retry=retry,
         rebuild=data.get("rebuild", True),
         rebuild_max_inflight=data.get("rebuild_max_inflight", 2),
@@ -241,7 +259,7 @@ def load_fault_plan(path: str | Path) -> FaultPlan:
     with open(path, "r", encoding="utf-8") as fh:
         data = json.load(fh)
     if not isinstance(data, dict):
-        raise ValueError(f"{path}: fault plan must be a JSON object")
+        raise ValueError(f"fault plan must be a JSON object, got {type(data).__name__}")
     return fault_plan_from_dict(data)
 
 

@@ -448,3 +448,28 @@ def test_gen_trace_new_kinds(tmp_path, capsys):
         trace = load_trace(path)
         assert len(trace) > 0
         assert trace.num_extents == 64
+
+
+@pytest.mark.parametrize("command", ["run", "compare", "serve"])
+@pytest.mark.parametrize("plan_text, reason", [
+    ('{"disk_failures": [{"time_s": NaN, "disk": 0}]}',
+     "DiskFailure.time_s must be a finite number, got nan"),
+    ('{"transient_faults": [{"start_s": 0, "end_s": 10, "probability": 0.5, "disk": [0]}]}',
+     "unknown transient_faults[0] keys ['disk']"),
+    ('{"disk_failures": [', "Expecting value"),
+    (None, "No such file or directory"),
+], ids=["nan-time", "unknown-entry-key", "not-json", "missing-file"])
+def test_refused_faults_file_is_one_line_exit_2(tmp_path, capsys, command, plan_text, reason):
+    plan = tmp_path / "plan.json"
+    if plan_text is not None:
+        plan.write_text(plan_text + "\n")
+    extra = ["--control", str(tmp_path / "ctl.sock"), "--exit-on-drain"] if command == "serve" else []
+    with pytest.raises(SystemExit) as exited:
+        main([command, "--kind", "synthetic", "--duration", "5", "--rate", "5",
+              "--faults", str(plan), *extra])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"repro {command}: {plan}: "), err
+    assert reason in err, err
+

@@ -114,6 +114,34 @@ class TestPlanJson:
         with pytest.raises(ValueError, match="unknown FaultPlan keys"):
             fault_plan_from_dict({"disk_falures": []})
 
+    @pytest.mark.parametrize("plan, where", [
+        ({"disk_failures": [{"time_s": 1.0, "disk": 0, "disks": [0]}]}, r"disk_failures\[0\]"),
+        ({"transient_faults": [
+            {"start_s": 0.0, "end_s": 5.0, "probability": 0.1},
+            {"start_s": 0, "end_s": 10, "probability": 0.5, "disk": [0]},
+        ]}, r"transient_faults\[1\]"),
+        ({"slow_disk_faults": [{"start_s": 0, "end_s": 10, "factor": 2.0, "disk": [0]}]},
+         r"slow_disk_faults\[0\]"),
+        ({"retry": {"max_attempts": 2, "backof_s": 0.01}}, "retry"),
+    ], ids=["failure", "transient-disk-typo", "slow-disk-typo", "retry"])
+    def test_unknown_entry_key_rejected(self, plan, where):
+        """A misspelt ``disks`` must not widen a window to every disk."""
+        with pytest.raises(ValueError, match=rf"unknown {where} keys \[.*\]; known: \["):
+            fault_plan_from_dict(plan)
+
+    @pytest.mark.parametrize("plan, message", [
+        ({"disk_failures": [{"disk": 0}]}, r"disk_failures\[0\] is missing keys \['time_s'\]"),
+        ({"transient_faults": ["not an object"]}, r"transient_faults\[0\] must be a JSON object"),
+        ({"slow_disk_faults": {"start_s": 0}}, "slow_disk_faults must be a list"),
+        ({"retry": [3]}, "retry must be a JSON object"),
+        ({"transient_faults": [{"start_s": 0, "end_s": 1, "probability": 0.1, "disks": 3}]},
+         r"transient_faults\[0\]\.disks must be a list"),
+    ], ids=["missing-key", "entry-not-object", "section-not-list", "retry-not-object",
+            "disks-not-list"])
+    def test_malformed_entries_are_value_errors(self, plan, message):
+        with pytest.raises(ValueError, match=message):
+            fault_plan_from_dict(plan)
+
     def test_non_object_file_rejected(self, tmp_path):
         path = tmp_path / "plan.json"
         path.write_text("[1, 2, 3]\n")

@@ -299,9 +299,8 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """The online mutators refuse to run inside an engine callback
-    (sim/runner.py, core/hibernator.py), and RetryPolicy checks its
-    numbers instead of accepting bools and fractions (disks/). Every
-    golden digest is unchanged, but semantics-bearing modules changed,
-    so the guard demands a bump."""
-    assert CODE_VERSION == "2026.08-11"
+    """The CR solve (core/speed_setting.py) is a vectorized boundary
+    search instead of a depth-first one. It returns the same assignment
+    bit for bit and every golden digest is unchanged, but a
+    semantics-bearing module changed, so the guard demands a bump."""
+    assert CODE_VERSION == "2026.08-12"

@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core import speed_setting
 from repro.core.response_model import MG1ResponseModel
 from repro.core.speed_setting import (
     SpeedAssignment,
@@ -16,6 +20,7 @@ from repro.core.speed_setting import (
 )
 from repro.disks.mechanics import DiskMechanics
 from repro.disks.specs import ultrastar_36z15
+from tests.cr_reference import reference_solve_speed_assignment
 
 
 @pytest.fixture
@@ -140,7 +145,7 @@ def test_skewed_heat_uses_tiers():
 
 
 def test_matches_brute_force_enumeration():
-    """The DFS with pruning must be exactly optimal over all candidate
+    """The pruned search must be exactly optimal over all candidate
     partitions (verified against plain itertools enumeration)."""
     spec = ultrastar_36z15(3)
     model = MG1ResponseModel(DiskMechanics(spec), mean_request_bytes=4096)
@@ -244,3 +249,154 @@ def test_single_speed_spec_degenerates():
     a = solve(uniform_heat(), goal=0.05, spec=spec)
     assert a.counts == (4,)
     assert a.feasible
+
+
+# -- exactness against the depth-first search it replaced ----------------------
+
+def solve_both(heat, num_disks, spec, goal, prev=None, cfg=None, epoch=60.0,
+               request_bytes=8192.0):
+    """Solve with the production search and the reference DFS; both must
+    return the same SpeedAssignment, floats compared exactly."""
+    model = MG1ResponseModel(DiskMechanics(spec), mean_request_bytes=request_bytes)
+    args = dict(
+        heat=np.asarray(heat, dtype=float), num_disks=num_disks, model=model, spec=spec,
+        epoch_seconds=epoch, goal_s=goal, prev_boundaries=prev,
+        config=cfg or SpeedSettingConfig(),
+    )
+    got = solve_speed_assignment(**args)
+    want = reference_solve_speed_assignment(**args)
+    assert got == want
+    assert type(got.predicted_energy_joules) is float
+    assert all(type(b) is int for b in got.boundaries)
+    return got
+
+
+def zipf_heat(num_extents, total_rate, alpha=0.9):
+    heat = 1.0 / np.arange(1, num_extents + 1) ** alpha
+    return heat / heat.sum() * total_rate
+
+
+@st.composite
+def heats(draw, num_disks):
+    """Per-extent rates with zeros and ties (or none at all), scaled to a
+    per-disk load from near idle to past full-speed saturation."""
+    size = draw(st.integers(1, 48))
+    kind = draw(st.sampled_from(["random", "ties", "random", "ties", "zeros"]))
+    if kind == "zeros":
+        return [0.0] * size
+    if kind == "ties":
+        values = st.sampled_from([0.0, 0.5, 2.0, 2.0, 8.0])
+    else:
+        values = st.floats(0.0, 50.0)
+    heat = np.array(draw(st.lists(values, min_size=size, max_size=size)))
+    per_disk_rate = draw(st.sampled_from([0.5, 5.0, 30.0, 80.0, 200.0]))
+    total = heat.sum()
+    return heat if total == 0 else heat / total * (per_disk_rate * num_disks)
+
+
+@st.composite
+def prev_boundaries(draw, num_disks, num_speeds):
+    kind = draw(st.sampled_from(["none", "right", "wrong-length"]))
+    if kind == "none":
+        return None
+    positions = st.integers(0, num_disks)
+    if kind == "right":
+        inner = sorted(draw(st.lists(positions, min_size=num_speeds - 1, max_size=num_speeds - 1)))
+        return (0, *inner, num_disks)
+    length = draw(st.integers(0, num_speeds + 3).filter(lambda n: n != num_speeds + 1))
+    return tuple(draw(st.lists(positions, min_size=length, max_size=length)))
+
+
+@st.composite
+def problems(draw):
+    num_speeds = draw(st.sampled_from([1, 2, 3, 4, 5]))
+    num_disks = draw(st.integers(1, 16))
+    goal = draw(st.sampled_from([
+        None,      # energy only: every loaded tier must just be stable
+        0.05,      # loose
+        0.008,     # the benchmark's goal
+        0.0055,    # tight
+        1e-4,      # infeasible: the all-full-speed fallback
+    ]))
+    cfg = SpeedSettingConfig(
+        change_penalty_joules=draw(st.sampled_from([0.0, 200.0, 1e5])),
+        goal_margin=draw(st.sampled_from([0.0, 0.1])),
+    )
+    return dict(
+        heat=draw(heats(num_disks)),
+        num_disks=num_disks,
+        spec=ultrastar_36z15(num_speeds),
+        goal=goal,
+        prev=draw(prev_boundaries(num_disks, num_speeds)),
+        cfg=cfg,
+        epoch=draw(st.sampled_from([60.0, 3600.0])),
+        request_bytes=draw(st.sampled_from([4096.0, 65536.0])),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(problems(), st.sampled_from([1, 8, 64, speed_setting._BLOCK_ROWS]))
+def test_search_matches_reference_dfs(problem, block_rows):
+    """Any block cap gives the same answer: a smaller one only moves
+    boundaries from the numpy blocks into the pruned Python walk (a cap
+    of 1 walks every boundary)."""
+    with mock.patch.object(speed_setting, "_BLOCK_ROWS", block_rows):
+        solve_both(**problem)
+
+
+@pytest.mark.parametrize("block_rows", [1, speed_setting._BLOCK_ROWS])
+def test_idle_array_keeps_previous_boundaries(block_rows):
+    """With no load the response budget is 0 and every tier's weighted
+    response is exactly 0, which meets it. A high change penalty must then
+    keep last epoch's boundaries, in the walk (cap 1) as in a block."""
+    with mock.patch.object(speed_setting, "_BLOCK_ROWS", block_rows):
+        a = solve_both([0.0] * 10, 4, ultrastar_36z15(3), 0.008, prev=(0, 2, 3, 4),
+                       cfg=SpeedSettingConfig(change_penalty_joules=1e5))
+    assert a.boundaries == (0, 2, 3, 4)
+
+
+def test_matches_reference_at_bench_width():
+    """One oltp-wide-hib-sized solve: 48 disks, Zipf-0.9 heat over 4800
+    extents, the 8 ms goal and a boundary-change penalty."""
+    a = solve_both(zipf_heat(4800, 400.0), 48, ultrastar_36z15(), 0.008,
+                   prev=(0, 10, 12, 40, 48, 48))
+    assert a.feasible
+
+
+@pytest.mark.parametrize("num_disks", [1, 4, 9])
+@pytest.mark.parametrize("goal", [None, 0.008, 1e-4])
+def test_single_speed_matches_reference(num_disks, goal):
+    """K = 1: no boundary is free, the one tier takes every disk."""
+    a = solve_both(zipf_heat(40, 30.0), num_disks, ultrastar_36z15(1), goal,
+                   prev=(0, num_disks), cfg=SpeedSettingConfig(change_penalty_joules=200.0))
+    assert a.boundaries == (0, num_disks)
+
+
+def test_wide_two_speed_array_outgrows_uint8():
+    """256 disks do not fit uint8; the suffix table widens to uint16."""
+    a = solve_both(zipf_heat(2560, 900.0), 256, ultrastar_36z15(2), 0.008)
+    assert a.feasible
+    table, _ = speed_setting._suffix_table(256, speed_setting._trailing_width(256, 1))
+    assert table.dtype == np.uint16
+
+
+def test_eight_speeds_stay_within_the_block_cap(monkeypatch):
+    """16 disks at 8 speeds have 245,157 boundary vectors; no table (and
+    so no block, a slice of one) may hold more than the cap."""
+    shapes = []
+    real = speed_setting._suffix_table
+
+    def recording(num_disks, width):
+        table, starts = real(num_disks, width)
+        shapes.append(table.shape)
+        return table, starts
+
+    monkeypatch.setattr(speed_setting, "_suffix_table", recording)
+    solve_both(zipf_heat(1600, 130.0), 16, ultrastar_36z15(8), 0.008)
+    assert shapes and all(rows <= speed_setting._BLOCK_ROWS for _, rows in shapes)
+    # 48 disks at 8 speeds would need a 2e8-row table without the cap.
+    width = speed_setting._trailing_width(48, 7)
+    table, starts = real(48, width)
+    assert table.shape[1] <= speed_setting._BLOCK_ROWS < math.comb(48 + 7, 7)
+    assert table.dtype == np.uint8 and len(starts) == 49
+
