@@ -18,7 +18,8 @@ from common import (
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single, standard_policies
+from repro.analysis.experiments import run_single
+from repro.analysis.parallel import PolicySpec
 from repro.analysis.report import format_table
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.drpm import DrpmConfig, DrpmPolicy
@@ -29,7 +30,8 @@ def run_all():
     config = bench_array_config()
     base = run_single(trace, config, AlwaysOnPolicy())
     goal = 2.0 * base.mean_response_s
-    hibernator = standard_policies(trace, config, bench_hibernator_config())[-1][0]
+    hibernator, _ = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(
+        trace, config)
     results = {
         "Hibernator (coarse/CR)": run_single(trace, config, hibernator, goal_s=goal),
         "DRPM (fine/reactive)": run_single(

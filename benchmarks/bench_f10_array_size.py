@@ -11,7 +11,8 @@ from __future__ import annotations
 from common import OLTP_EXTENTS, bench_hibernator_config, emit
 from conftest import run_once
 
-from repro.analysis.experiments import default_array_config, run_single, standard_policies
+from repro.analysis.experiments import default_array_config, run_single
+from repro.analysis.parallel import PolicySpec
 from repro.analysis.report import format_series
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.traces.oltp import OltpConfig, generate_oltp
@@ -33,7 +34,8 @@ def run_sweep():
                                       num_extents=OLTP_EXTENTS, seed=84)
         base = run_single(trace, config, AlwaysOnPolicy())
         goal = 2.0 * base.mean_response_s
-        policy = standard_policies(trace, config, bench_hibernator_config())[-1][0]
+        policy, _ = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(
+            trace, config)
         result = run_single(trace, config, policy, goal_s=goal)
         points.append((num_disks, result.energy_savings_vs(base),
                        result.mean_response_s <= goal))

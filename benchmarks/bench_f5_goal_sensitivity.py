@@ -17,7 +17,8 @@ from common import (
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single, standard_policies
+from repro.analysis.experiments import run_single
+from repro.analysis.parallel import PolicySpec
 from repro.analysis.report import format_series
 from repro.policies.always_on import AlwaysOnPolicy
 
@@ -31,7 +32,8 @@ def run_sweep():
     points = []
     for slack in SLACKS:
         goal = slack * base.mean_response_s
-        policy = standard_policies(trace, config, bench_hibernator_config())[-1][0]
+        policy, _ = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(
+            trace, config)
         result = run_single(trace, config, policy, goal_s=goal)
         savings = result.energy_savings_vs(base)
         meets = result.mean_response_s <= goal

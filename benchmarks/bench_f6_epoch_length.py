@@ -25,7 +25,8 @@ from common import (
 )
 from conftest import run_once
 
-from repro.analysis.experiments import run_single, standard_policies
+from repro.analysis.experiments import run_single
+from repro.analysis.parallel import PolicySpec
 from repro.analysis.report import format_table
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.traces.cello import CelloConfig, generate_cello
@@ -50,9 +51,9 @@ def run_sweep():
     goal = 2.0 * base.mean_response_s
     rows = []
     for epoch_s in EPOCHS:
-        policy = standard_policies(
-            trace, config, bench_hibernator_config(epoch_seconds=epoch_s)
-        )[-1][0]
+        policy, _ = PolicySpec.named(
+            "hibernator", config=bench_hibernator_config(epoch_seconds=epoch_s)
+        ).build(trace, config)
         result = run_single(trace, config, policy, goal_s=goal)
         rows.append((
             epoch_s,

@@ -11,7 +11,8 @@ from __future__ import annotations
 from common import bench_array_config, bench_hibernator_config, bench_oltp_trace, emit
 from conftest import run_once
 
-from repro.analysis.experiments import run_single, standard_policies
+from repro.analysis.experiments import run_single
+from repro.analysis.parallel import PolicySpec
 from repro.analysis.report import format_series
 from repro.policies.always_on import AlwaysOnPolicy
 
@@ -25,7 +26,8 @@ def run_sweep():
         config = bench_array_config(num_speed_levels=levels)
         base = run_single(trace, config, AlwaysOnPolicy())
         goal = 2.0 * base.mean_response_s
-        policy = standard_policies(trace, config, bench_hibernator_config())[-1][0]
+        policy, _ = PolicySpec.named("hibernator", config=bench_hibernator_config()).build(
+            trace, config)
         result = run_single(trace, config, policy, goal_s=goal)
         points.append((levels, result.energy_savings_vs(base),
                        result.mean_response_s <= goal))

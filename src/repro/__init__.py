@@ -29,7 +29,6 @@ from repro.analysis.experiments import (
     derive_goal,
     run_comparison,
     run_single,
-    standard_policies,
 )
 from repro.core.guarantee import BoostController, GuaranteeConfig
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
@@ -58,7 +57,6 @@ __all__ = [
     "derive_goal",
     "run_comparison",
     "run_single",
-    "standard_policies",
     "BoostController",
     "GuaranteeConfig",
     "HibernatorConfig",

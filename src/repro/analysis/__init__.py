@@ -3,14 +3,14 @@
 * :mod:`repro.analysis.experiments` -- run policy comparisons the way
   the paper does: Base first (defines the goal), then every scheme on
   the identical trace and array.
-* :mod:`repro.analysis.parallel` -- picklable run specs, process fan-out
-  and the determinism guarantee behind ``jobs=``.
+* :mod:`repro.analysis.parallel` -- picklable run specs, the paper's
+  comparison set as named specs, and ``execute``: the one process
+  fan-out, with the determinism guarantee behind ``jobs=``.
 * :mod:`repro.analysis.cache` -- on-disk memoization of run results
   keyed by spec content plus a code-version tag.
 * :mod:`repro.analysis.energy` -- unit helpers and savings arithmetic.
 * :mod:`repro.analysis.report` -- plain-text tables/series formatting
   shared by the benchmarks and examples.
-* :mod:`repro.analysis.sweeps` -- one-dimensional parameter sweeps.
 """
 
 from repro.analysis.cache import CODE_VERSION, ResultCache, content_key
@@ -21,18 +21,17 @@ from repro.analysis.experiments import (
     derive_goal,
     run_comparison,
     run_single,
-    standard_policies,
 )
 from repro.analysis.parallel import (
     PolicySpec,
     RunSpec,
     TraceSpec,
+    comparison_specs,
     execute,
     execute_one,
     run_spec,
 )
 from repro.analysis.report import format_count, format_duration, format_series, format_table
-from repro.analysis.sweeps import SweepPoint, sweep
 
 __all__ = [
     "joules_to_kwh",
@@ -42,13 +41,13 @@ __all__ = [
     "derive_goal",
     "run_comparison",
     "run_single",
-    "standard_policies",
     "CODE_VERSION",
     "ResultCache",
     "content_key",
     "PolicySpec",
     "RunSpec",
     "TraceSpec",
+    "comparison_specs",
     "execute",
     "execute_one",
     "run_spec",
@@ -56,6 +55,4 @@ __all__ = [
     "format_series",
     "format_count",
     "format_duration",
-    "SweepPoint",
-    "sweep",
 ]

@@ -48,8 +48,6 @@ def _canonical(obj: Any) -> Any:
         # repr() round-trips exactly; formatting floats any other way
         # would alias nearby spec values onto one key.
         return {"__float__": repr(obj)}
-    if isinstance(obj, bytes):
-        return {"__bytes__": hashlib.sha256(obj).hexdigest()}
     if isinstance(obj, np.ndarray):
         arr = np.ascontiguousarray(obj)
         return {
@@ -114,10 +112,6 @@ class ResultCache:
     def key_for(self, spec: Any) -> str:
         """Content key of an arbitrary spec object."""
         return content_key(spec, version=self.version)
-
-    def key_for_call(self, tag: str, value: Any) -> str:
-        """Key for a named-function call (used by generic sweeps)."""
-        return content_key({"call": tag, "value": value}, version=self.version)
 
     # -- storage -------------------------------------------------------------
 

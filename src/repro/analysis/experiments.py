@@ -13,26 +13,28 @@ The paper's methodology, reproduced by :func:`run_comparison`:
 
 from __future__ import annotations
 
+import math
 import typing
-from dataclasses import dataclass, field, replace
-
+from dataclasses import dataclass, field
 
 from repro.analysis.cache import ResultCache
 from repro.analysis.energy import savings_fraction
+from repro.analysis.parallel import (
+    PolicySpec,
+    RunSpec,
+    TraceSpec,
+    comparison_specs,
+    execute,
+    execute_one,
+)
 from repro.analysis.report import format_count, format_duration
-from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
+from repro.core.hibernator import HibernatorConfig
 from repro.disks.array import ArrayConfig
 from repro.disks.specs import ultrastar_36z15
 from repro.faults.plan import FaultPlan
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.base import PowerPolicy
-from repro.policies.drpm import DrpmPolicy
-from repro.policies.maid import MaidConfig, MaidPolicy, maid_array_config
-from repro.policies.pdc import PdcConfig, PdcPolicy
-from repro.policies.tpm import TpmPolicy
 from repro.sim.runner import ArraySimulation, SimulationResult
 from repro.traces.model import Trace
-from repro.traces.tracestats import per_extent_rates
 
 
 def default_array_config(
@@ -93,54 +95,49 @@ def run_single(
     return sim.run()
 
 
+def check_slack(slack: float) -> float:
+    """``slack`` as a float, or ValueError unless it is finite and >= 1.
+
+    A slack below 1 asks for a goal faster than Base, which no scheme
+    can meet; NaN and inf would give a goal nothing can be measured
+    against.
+    """
+    slack = float(slack)
+    if not (math.isfinite(slack) and slack >= 1.0):
+        raise ValueError(f"slack must be a finite number >= 1, got {slack!r}")
+    return slack
+
+
 def derive_goal(
     trace: Trace,
     array_config: ArrayConfig,
     slack: float = 1.5,
     observe: bool = False,
     faults: "FaultPlan | None" = None,
+    cache: ResultCache | None = None,
+    base: SimulationResult | None = None,
 ) -> tuple[float, SimulationResult]:
     """Run Base and derive the response-time goal from its mean.
 
     Returns ``(goal_s, base_result)``; ``slack`` is the paper's
     "response-time limit multiplier" (how much degradation the operator
-    tolerates in exchange for energy savings). When ``faults`` is set,
-    Base runs under the same fault plan as the schemes it anchors, so
-    the goal reflects degraded-mode service times.
+    tolerates in exchange for energy savings), checked by
+    :func:`check_slack`. When ``faults`` is set, Base runs under the
+    same fault plan as the schemes it anchors, so the goal reflects
+    degraded-mode service times. ``cache`` serves a repeated Base run
+    from disk; ``base``, a result this function returned before, skips
+    the run, so a sweep over slacks runs Base once.
     """
-    if slack < 1.0:
-        raise ValueError(f"slack below 1.0 is unmeetable by definition, got {slack!r}")
-    base = run_single(trace, array_config, AlwaysOnPolicy(), observe=observe,
-                      faults=faults)
+    slack = check_slack(slack)
+    if base is None:
+        base = execute_one(
+            RunSpec(trace=TraceSpec.from_trace(trace), array=array_config,
+                    policy=PolicySpec.named("base"), observe=observe, faults=faults),
+            cache=cache,
+        )
     if base.mean_response_s <= 0:
         raise ValueError("Base run produced no requests; cannot derive a goal")
     return slack * base.mean_response_s, base
-
-
-def standard_policies(
-    trace: Trace,
-    array_config: ArrayConfig,
-    hibernator_config: HibernatorConfig | None = None,
-) -> list[tuple[PowerPolicy, ArrayConfig]]:
-    """The paper's comparison set (minus Base, which derives the goal).
-
-    Returns (policy, array_config) pairs because MAID needs its cache
-    disks excluded from initial placement. PDC's re-ranking period is
-    Hibernator's epoch so the adaptive schemes act on the same
-    timescale, and Hibernator is primed with the trace's heat unless
-    ``hibernator_config`` already carries ``prime_rates``.
-    """
-    hib_cfg = hibernator_config or HibernatorConfig()
-    if hib_cfg.prime_rates is None:
-        hib_cfg = replace(hib_cfg, prime_rates=per_extent_rates(trace))
-    maid_cfg = MaidConfig()
-    return [
-        (TpmPolicy(), array_config),
-        (DrpmPolicy(), array_config),
-        (PdcPolicy(PdcConfig(period_s=hib_cfg.epoch_seconds)), array_config),
-        (MaidPolicy(maid_cfg), maid_array_config(array_config, maid_cfg.num_cache_disks)),
-        (HibernatorPolicy(hib_cfg), array_config),
-    ]
 
 
 @dataclass
@@ -224,7 +221,6 @@ def run_comparison(
     trace: Trace,
     array_config: ArrayConfig,
     slack: float = 1.5,
-    schemes: list[tuple[PowerPolicy, ArrayConfig]] | None = None,
     hibernator_config: HibernatorConfig | None = None,
     window_s: float | None = None,
     jobs: int = 1,
@@ -233,6 +229,10 @@ def run_comparison(
     faults: "FaultPlan | None" = None,
 ) -> ComparisonResult:
     """Full paper-style comparison on one trace.
+
+    Base comes from :func:`derive_goal`; the schemes are
+    :func:`~repro.analysis.parallel.comparison_specs` run by
+    :func:`~repro.analysis.parallel.execute`.
 
     Args:
         jobs: worker processes for the scheme runs. The Base run always
@@ -247,35 +247,12 @@ def run_comparison(
         faults: fault plan applied to *every* run, Base included, so
             all schemes face the identical failure scenario.
     """
-    from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, execute_one
-
-    if slack < 1.0:
-        raise ValueError(f"slack below 1.0 is unmeetable by definition, got {slack!r}")
-    trace_spec = TraceSpec.from_trace(trace)
-    base_result = execute_one(
-        RunSpec(trace=trace_spec, array=array_config, policy=PolicySpec.named("base"),
-                observe=observe, faults=faults),
-        cache=cache,
-    )
-    if base_result.mean_response_s <= 0:
-        raise ValueError("Base run produced no requests; cannot derive a goal")
-    goal_s = slack * base_result.mean_response_s
+    goal_s, base = derive_goal(trace, array_config, slack, observe=observe,
+                               faults=faults, cache=cache)
     comparison = ComparisonResult(goal_s=goal_s, slack=slack)
-    comparison.results["Base"] = base_result
-    if schemes is None:
-        schemes = standard_policies(trace, array_config, hibernator_config)
-    specs = [
-        RunSpec(
-            trace=trace_spec,
-            array=config,
-            policy=PolicySpec.from_instance(policy),
-            goal_s=goal_s,
-            window_s=window_s,
-            observe=observe,
-            faults=faults,
-        )
-        for policy, config in schemes
-    ]
+    comparison.results["Base"] = base
+    specs = comparison_specs(TraceSpec.from_trace(trace), array_config, goal_s,
+                             hibernator_config, window_s, observe=observe, faults=faults)
     for result in execute(specs, jobs=jobs, cache=cache):
         comparison.results[result.policy_name] = result
     return comparison

@@ -7,7 +7,8 @@ exploits that purity twice:
 
 * **fan-out** — :func:`execute` ships picklable :class:`RunSpec`\\ s to a
   ``ProcessPoolExecutor`` and reconstructs the simulation inside each
-  worker, so a scheme comparison or parameter sweep uses every core;
+  worker, so a scheme comparison or parameter sweep uses every core. It
+  is the one way to run many simulations at once;
 * **memoization** — the same specs are content-hashable
   (:mod:`repro.analysis.cache`), so repeated runs of an identical
   (trace, array, policy, goal) configuration are served from disk.
@@ -19,15 +20,14 @@ order. Metrics are therefore identical for any ``jobs=`` value; only
 wall-clock instrumentation (``runtime_*`` extras) varies.
 
 A spec describes its trace either by *recipe* (generator name + config,
-cheap to pickle, regenerated in the worker) or *inline* (a materialized
-:class:`~repro.traces.model.Trace`, content-hashed for caching). Policies
-are likewise either *named* (factory registry + params) or *instances*
-(pickled wholesale — policies hold no live state before ``attach``).
+cheap to pickle, regenerated in the worker), by *file* or *inline* (a
+materialized :class:`~repro.traces.model.Trace`, content-hashed for
+caching). A policy is always *named*: a :data:`POLICY_FACTORIES` entry
+plus its params, built inside the worker.
 """
 
 from __future__ import annotations
 
-import pickle
 import typing
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -209,17 +209,12 @@ POLICY_FACTORIES: dict[str, Callable[..., PowerPolicy]] = {
 
 @dataclass(eq=False)
 class PolicySpec:
-    """Picklable description of a power-management policy.
-
-    Either ``name``/``params`` resolve through :data:`POLICY_FACTORIES`
-    (fully recipe-keyed), or ``instance`` carries a constructed policy
-    (keyed by its name, describe() string and pickled content — policies
-    are inert before ``attach``, so the pickle is stable).
-    """
+    """Picklable description of a power-management policy: ``name``
+    and ``params`` resolve through :data:`POLICY_FACTORIES`, and the
+    cache key is that recipe."""
 
     name: str | None = None
     params: dict[str, Any] = field(default_factory=dict)
-    instance: PowerPolicy | None = None
 
     @classmethod
     def named(cls, name: str, **params: Any) -> "PolicySpec":
@@ -227,22 +222,14 @@ class PolicySpec:
             raise ValueError(f"unknown policy {name!r}; known: {sorted(POLICY_FACTORIES)}")
         return cls(name=name, params=params)
 
-    @classmethod
-    def from_instance(cls, policy: PowerPolicy) -> "PolicySpec":
-        return cls(instance=policy)
-
     def build(self, trace: Trace, array_config: ArrayConfig) -> tuple[PowerPolicy, ArrayConfig]:
         """Policy instance plus the (possibly adjusted) array config.
 
-        MAID built from a named spec excludes its cache disks from
-        initial placement, mirroring
-        :func:`repro.policies.maid.maid_array_config`; instance specs
-        assume the caller already adjusted the config.
+        MAID excludes its cache disks from initial placement through
+        :func:`repro.policies.maid.maid_array_config`.
         """
-        if self.instance is not None:
-            return self.instance, array_config
         if self.name is None:
-            raise ValueError("empty PolicySpec: set name or instance")
+            raise ValueError("empty PolicySpec: set name")
         params = dict(self.params)
         if self.name == "maid":
             maid_cfg = params.get("config") or MaidConfig(**params)
@@ -250,14 +237,6 @@ class PolicySpec:
         return POLICY_FACTORIES[self.name](trace, **params), array_config
 
     def cache_key(self) -> dict[str, Any]:
-        if self.instance is not None:
-            blob = pickle.dumps(self.instance, protocol=pickle.HIGHEST_PROTOCOL)
-            return {
-                "kind": "instance",
-                "name": self.instance.name,
-                "describe": self.instance.describe(),
-                "pickle": blob,
-            }
         return {"kind": "named", "name": self.name, "params": self.params}
 
 
@@ -352,38 +331,23 @@ def execute_one(spec: RunSpec, cache: ResultCache | None = None) -> "SimulationR
     return execute([spec], jobs=1, cache=cache)[0]
 
 
-def map_parallel(
-    fn: Callable[[Any], Any],
-    values: Sequence[Any],
-    jobs: int = 1,
-) -> list[Any]:
-    """Order-preserving map over ``values`` with optional process fan-out.
-
-    ``fn`` must be picklable (a module-level function or a
-    ``functools.partial`` of one) when ``jobs > 1``. Used by
-    :func:`repro.analysis.sweeps.sweep` for arbitrary per-point callables
-    that are not expressible as :class:`RunSpec`\\ s.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs!r}")
-    if jobs == 1 or len(values) <= 1:
-        return [fn(v) for v in values]
-    with ProcessPoolExecutor(max_workers=min(jobs, len(values))) as pool:
-        return list(pool.map(fn, values))
-
-
 def comparison_specs(
     trace_spec: TraceSpec,
     array_config: ArrayConfig,
     goal_s: float,
     hibernator_config: HibernatorConfig | None = None,
     window_s: float | None = None,
+    observe: bool = False,
+    faults: FaultPlan | None = None,
 ) -> list[RunSpec]:
-    """Named-spec version of the paper's standard comparison set.
+    """The paper's comparison set, minus Base (which derives the goal).
 
-    Mirrors :func:`repro.analysis.experiments.standard_policies` but
-    stays in recipe form end to end, so the specs are cheap to ship and
-    cache-keyed by construction parameters rather than trace content.
+    TPM, DRPM, PDC, MAID and Hibernator, in that order, as named specs:
+    cheap to ship and cache-keyed by construction parameters. PDC's
+    re-ranking period is Hibernator's epoch, so the adaptive schemes act
+    on the same timescale; MAID's spec excludes its cache disks from
+    initial placement, and Hibernator is primed with the trace's heat
+    unless ``hibernator_config`` already carries ``prime_rates``.
     """
     hib_params: dict[str, Any] = {"config": hibernator_config} if hibernator_config else {}
     pdc_period = (hibernator_config or HibernatorConfig()).epoch_seconds
@@ -401,6 +365,8 @@ def comparison_specs(
             policy=PolicySpec.named(name, **params),
             goal_s=goal_s,
             window_s=window_s,
+            observe=observe,
+            faults=faults,
         )
         for name, params in names
     ]

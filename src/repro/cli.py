@@ -31,22 +31,24 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from repro.analysis.experiments import (
     ComparisonResult,
+    check_slack,
     default_array_config,
+    derive_goal,
     run_comparison,
     run_single,
 )
 from repro.analysis.parallel import POLICY_FACTORIES, TRACE_GENERATORS, PolicySpec
 from repro.analysis.report import format_kv, format_series, format_table
 from repro.core.hibernator import HibernatorConfig
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.serve.protocol import COMMANDS, ProtocolError, finite_goal
 from repro.sim.runner import SimulationResult
 from repro.traces.cello import CelloConfig
-from repro.traces.io import load_trace, save_trace
+from repro.traces.ingest import INGEST_FORMATS
+from repro.traces.io import TraceFormatError, load_trace, save_trace
 from repro.traces.model import Trace
 from repro.traces.oltp import OltpConfig
 from repro.traces.synthetic import (
@@ -56,8 +58,6 @@ from repro.traces.synthetic import (
     WriteBurstConfig,
 )
 from repro.traces.tracestats import compute_trace_stats
-
-INGEST_FORMAT_NAMES = ("msr", "blkparse", "csv")
 
 
 def _add_trace_source(parser: argparse.ArgumentParser) -> None:
@@ -88,6 +88,20 @@ def _goal_ms(text: str) -> float:
         return finite_goal(float(text), "value")
     except ProtocolError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _slack(text: str) -> float:
+    """``--slack`` and each ``--slacks`` value: :func:`check_slack`, so
+    0.5, ``nan`` or ``inf`` exits 2 here instead of running against a
+    goal no scheme can meet or be measured against."""
+    try:
+        return check_slack(float(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _slacks(text: str) -> list[float]:
+    return [_slack(part) for part in text.split(",")]
 
 
 def _add_parallel_options(parser: argparse.ArgumentParser) -> None:
@@ -134,22 +148,32 @@ def _add_faults_option(parser: argparse.ArgumentParser) -> None:
                              "failures, transient error windows, slow disks")
 
 
+def _load_file(args: argparse.Namespace, path: str, load: Callable[[str], Any]) -> Any:
+    """``load(path)``. A file that cannot be read or parsed ends the
+    command with one line on stderr, ``repro <cmd>: <path>: <reason>``,
+    and exit status 2; a :class:`TraceFormatError` names the file (and
+    line) itself."""
+    command = " ".join(filter(None, (args.command, getattr(args, "trace_command", None))))
+    try:
+        return load(path)
+    except TraceFormatError as exc:
+        message = str(exc)
+    except OSError as exc:
+        message = f"{path}: {exc.strerror or exc}"
+    except (ValueError, EOFError) as exc:  # json.JSONDecodeError included
+        message = f"{path}: {exc}"
+    print(f"repro {command}: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_faults(args: argparse.Namespace):
-    """The ``--faults`` plan, or None without one. A file that cannot be
-    read, is not JSON or holds a refused plan ends the command with one
-    line on stderr, ``repro <cmd>: <path>: <reason>``, and exit status 2."""
+    """The ``--faults`` plan, or None without one; a refused plan is a
+    file error (:func:`_load_file`)."""
     if not getattr(args, "faults", None):
         return None
     from repro.faults.plan import load_fault_plan
 
-    try:
-        return load_fault_plan(args.faults)
-    except OSError as exc:
-        reason = exc.strerror or str(exc)
-    except ValueError as exc:  # json.JSONDecodeError included
-        reason = str(exc)
-    print(f"repro {args.command}: {args.faults}: {reason}", file=sys.stderr)
-    raise SystemExit(2)
+    return _load_file(args, args.faults, load_fault_plan)
 
 
 def _add_epoch_options(parser: argparse.ArgumentParser) -> None:
@@ -177,7 +201,7 @@ def _add_array_options(parser: argparse.ArgumentParser) -> None:
 
 def _resolve_trace(args: argparse.Namespace) -> Trace:
     if args.trace:
-        return load_trace(args.trace)
+        return _load_file(args, args.trace, load_trace)
     return _generate(args)
 
 
@@ -284,7 +308,7 @@ def cmd_gen_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_trace_stats(args: argparse.Namespace) -> int:
-    trace = load_trace(args.trace_file)
+    trace = _load_file(args, args.trace_file, load_trace)
     stats = compute_trace_stats(trace)
     print(format_kv(f"== {trace.name} ==", stats.rows()))
     return 0
@@ -324,10 +348,11 @@ def cmd_trace_import(args: argparse.Namespace) -> int:
             intensity=args.intensity,
             seed=args.ingest_seed,
         )
-        result = import_trace(args.source, args.format, options)
-    except ValueError as exc:  # includes TraceFormatError with path:line
+    except ValueError as exc:
         print(f"repro trace import: {exc}", file=sys.stderr)
         return 2
+    result = _load_file(args, args.source,
+                        lambda path: import_trace(path, args.format, options))
     save_trace(result.trace, args.output)
     if args.json:
         import json
@@ -349,9 +374,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _array_config(args, trace.num_extents)
     base = None
     goal = None
-    if args.policy != "base" and args.slack is not None:
-        base = run_single(trace, config, AlwaysOnPolicy(), faults=faults)
-        goal = args.slack * base.mean_response_s
+    if args.policy != "base":
+        goal, base = derive_goal(trace, config, args.slack, faults=faults)
     policy, policy_config = _policy_spec(args).build(trace, config)
     result = run_single(trace, policy_config, policy, goal_s=goal,
                         observe=bool(args.trace_out), faults=faults)
@@ -406,32 +430,28 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep_slack(args: argparse.Namespace) -> int:
-    from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute, execute_one
+    from repro.analysis.parallel import RunSpec, TraceSpec, execute
 
     trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
-    slacks = [float(s) for s in args.slacks.split(",")]
-    for slack in slacks:
-        if slack < 1.0:
-            raise SystemExit(f"slack {slack} below 1.0 is unmeetable")
     cache = _make_cache(args)
     observe = bool(args.trace_out)
+    base = None
+    goals = []
+    for slack in args.slacks:
+        goal, base = derive_goal(trace, config, slack, observe=observe, cache=cache, base=base)
+        goals.append(goal)
     trace_spec = TraceSpec.from_trace(trace)
-    base = execute_one(
-        RunSpec(trace=trace_spec, array=config, policy=PolicySpec.named("base"),
-                observe=observe),
-        cache=cache,
-    )
     hib_cfg = HibernatorConfig(epoch_seconds=args.epoch, migration=args.migration)
     specs = [
         RunSpec(
             trace=trace_spec,
             array=config,
             policy=PolicySpec.named("hibernator", config=hib_cfg),
-            goal_s=slack * base.mean_response_s,
+            goal_s=goal,
             observe=observe,
         )
-        for slack in slacks
+        for goal in goals
     ]
     results = execute(specs, jobs=args.jobs, cache=cache)
     if args.trace_out:
@@ -440,7 +460,7 @@ def cmd_sweep_slack(args: argparse.Namespace) -> int:
             events.extend(result.events)
         _write_trace_out(events, args.trace_out)
     points = [(slack, 100.0 * result.energy_savings_vs(base))
-              for slack, result in zip(slacks, results)]
+              for slack, result in zip(args.slacks, results)]
     print(format_series(
         f"{trace.name}: Hibernator savings vs slack",
         points, x_label="slack", y_label="savings %",
@@ -469,7 +489,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         trace = TraceBuilder("live", num_extents=args.extents).build()
         args.prime = False  # nothing to prime heat from; observe instead
     elif args.replay:
-        trace = load_trace(args.replay)
+        trace = _load_file(args, args.replay, load_trace)
     else:
         trace = _resolve_trace(args)
     config = _array_config(args, trace.num_extents)
@@ -549,7 +569,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.summary import render_runs
     from repro.obs.tracelog import read_jsonl, split_runs
 
-    events = read_jsonl(args.trace_file)
+    events = _load_file(args, args.trace_file, read_jsonl)
     if not events:
         print(f"{args.trace_file}: no events")
         return 0
@@ -658,7 +678,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_trace_source(p)
     _add_array_options(p)
     _add_policy_options(p)
-    p.add_argument("--slack", type=float, default=2.0,
+    p.add_argument("--slack", type=_slack, default=2.0,
                    help="response-time goal as a multiple of Base's mean "
                         "(ignored for --policy base)")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
@@ -669,7 +689,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compare", help="run the full scheme comparison")
     _add_trace_source(p)
     _add_array_options(p)
-    p.add_argument("--slack", type=float, default=2.0)
+    p.add_argument("--slack", type=_slack, default=2.0)
     _add_epoch_options(p)
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.add_argument("--csv", help="write per-scheme CSV to this path")
@@ -681,7 +701,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-slack", help="Hibernator savings across goals")
     _add_trace_source(p)
     _add_array_options(p)
-    p.add_argument("--slacks", default="1.25,1.5,2.0,3.0",
+    p.add_argument("--slacks", type=_slacks, default="1.25,1.5,2.0,3.0",
                    help="comma-separated slack multipliers")
     _add_epoch_options(p)
     _add_parallel_options(p)
@@ -780,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "line).",
     )
     tp.add_argument("source", help="trace file to import (.gz transparently)")
-    tp.add_argument("--format", required=True, choices=INGEST_FORMAT_NAMES,
+    tp.add_argument("--format", required=True, choices=tuple(INGEST_FORMATS),
                     help="source format")
     tp.add_argument("-o", "--output", required=True,
                     help="native trace output path (.csv or .csv.gz)")

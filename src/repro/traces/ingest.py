@@ -32,16 +32,14 @@ content hash of the source file.
 
 from __future__ import annotations
 
-import gzip
 import hashlib
-import io as _io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
-from repro.traces.io import TraceFormatError
+from repro.traces.io import TraceFormatError, _open_text
 from repro.traces.model import Trace
 from repro.traces.transforms import remap_extents, sample_fraction
 
@@ -224,12 +222,6 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _open_source(path: Path) -> IO[str]:
-    if path.suffix == ".gz":
-        return _io.TextIOWrapper(gzip.open(path, "rb"), encoding="utf-8", newline="")
-    return open(path, "r", encoding="utf-8", newline="")
-
-
 def _float_field(value: str, path: Path, lineno: int, label: str) -> float:
     try:
         return float(value)
@@ -377,7 +369,7 @@ def load_msr(path: str | Path, options: IngestOptions | None = None) -> IngestRe
     path = Path(path)
     options = options or IngestOptions()
     columns = _Columns()
-    with _open_source(path) as fh:
+    with _open_text(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line or line.startswith("#"):
@@ -413,7 +405,7 @@ def load_blkparse(path: str | Path, options: IngestOptions | None = None) -> Ing
     path = Path(path)
     options = options or IngestOptions()
     columns = _Columns()
-    with _open_source(path) as fh:
+    with _open_text(path, "r") as fh:
         for lineno, line in enumerate(fh, start=1):
             parts = line.split()
             # The summary block after the per-record section (and blank
@@ -464,7 +456,7 @@ def load_generic_csv(
     fmap = options.field_map or FieldMap()
     time_scale = _TIME_SCALES[fmap.time_unit]
     columns = _Columns()
-    with _open_source(path) as fh:
+    with _open_text(path, "r") as fh:
         header: list[str] | None = None
         start = 1
         if fmap.has_header:
@@ -691,10 +683,6 @@ def scale_intensity(
         offsets=np.concatenate(offsets_parts)[order],
         sizes=np.concatenate(sizes_parts)[order],
     )
-
-
-def _iter_formats() -> Iterator[str]:  # pragma: no cover - convenience
-    yield from sorted(INGEST_FORMATS)
 
 
 __all__ = [

@@ -14,7 +14,6 @@ from repro.analysis.cache import CODE_VERSION, ResultCache, _canonical, content_
 from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, execute
 from repro.disks.array import ArrayConfig
 from repro.disks.specs import make_multispeed_spec
-from repro.policies.tpm import TpmConfig, TpmPolicy
 from repro.traces.ingest import IngestOptions
 from repro.traces.model import Trace
 from repro.traces.synthetic import SyntheticConfig
@@ -175,11 +174,6 @@ class TestResultCache:
         cache.put(cache.key_for("a"), list(range(100)))
         assert cache.size_bytes() > 0
 
-    def test_key_for_call_distinguishes_tags(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        assert cache.key_for_call("f", 1) != cache.key_for_call("g", 1)
-        assert cache.key_for_call("f", 1) != cache.key_for_call("f", 2)
-
 
 # -- cache-key completeness audit --------------------------------------------
 #
@@ -320,9 +314,6 @@ _POLICY_KINDS = {
         lambda: PolicySpec.named("tpm", threshold_multiple=1.0),
         {"name": lambda v: "drpm",
          "params": lambda v: {"threshold_multiple": 2.0}}),
-    "instance": (
-        lambda: PolicySpec.from_instance(TpmPolicy(TpmConfig())),
-        {"instance": lambda v: TpmPolicy(TpmConfig(threshold_multiple=2.0))}),
 }
 
 

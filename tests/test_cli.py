@@ -152,9 +152,30 @@ def test_sweep_slack(tmp_path, capsys):
 
 def test_sweep_slack_rejects_sub_one(tmp_path):
     path = gen(tmp_path)
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exited:
         main(["sweep-slack", "--trace", str(path), "--disks", "4",
               "--slacks", "0.5"])
+    assert exited.value.code == 2
+
+
+@pytest.mark.parametrize("command, option", [
+    ("run", "--slack"), ("compare", "--slack"), ("sweep-slack", "--slacks"),
+])
+@pytest.mark.parametrize("value", ["0.5", "nan", "inf"])
+def test_slack_must_be_finite_and_at_least_one(capsys, command, option, value):
+    """``derive_goal``'s check, applied by argparse before any run: a
+    slack below 1 asks for a goal faster than Base, and NaN or inf gives
+    a goal nothing can be measured against."""
+    argv = [command, "--kind", "synthetic", "--duration", "5", "--rate", "5",
+            option, value if command != "sweep-slack" else f"1.5,{value}"]
+    with pytest.raises(SystemExit) as exited:
+        main(argv)
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (f"repro {command}: error: argument {option}: "
+                                    f"slack must be a finite number >= 1, got {float(value)!r}")
+    assert err.count("error:") == 1, err
 
 
 def test_unknown_command_rejected():
@@ -404,9 +425,10 @@ def test_trace_import_generic_csv_flags(tmp_path, capsys):
 def test_trace_import_bad_input_reports_line(tmp_path, capsys):
     source = tmp_path / "bad.csv"
     source.write_text("notaticks,host,0,Read,0,4096,100\n")
-    code = main(["trace", "import", str(source), "--format", "msr",
-                 "-o", str(tmp_path / "out.csv")])
-    assert code == 2
+    with pytest.raises(SystemExit) as exited:
+        main(["trace", "import", str(source), "--format", "msr",
+              "-o", str(tmp_path / "out.csv")])
+    assert exited.value.code == 2
     err = capsys.readouterr().err
     assert "repro trace import:" in err
     assert "bad.csv:1" in err
@@ -473,3 +495,44 @@ def test_refused_faults_file_is_one_line_exit_2(tmp_path, capsys, command, plan_
     assert err.startswith(f"repro {command}: {plan}: "), err
     assert reason in err, err
 
+
+#: Every command that reads a trace file: (argv before the path, argv
+#: after it, the command name its error line carries, the reason a file
+#: without the ``# repro-trace v1`` header gets).
+_NATIVE = "missing '# repro-trace v1' header"
+_TRACE_READERS = {
+    "run --trace": (["run", "--trace"], [], "run", _NATIVE),
+    "compare --trace": (["compare", "--trace"], [], "compare", _NATIVE),
+    "sweep-slack --trace": (["sweep-slack", "--trace"], [], "sweep-slack", _NATIVE),
+    "serve --trace": (["serve", "--trace"], ["--control", "ctl.sock"], "serve", _NATIVE),
+    "serve --replay": (["serve", "--replay"], ["--control", "ctl.sock"], "serve", _NATIVE),
+    "trace-stats": (["trace-stats"], [], "trace-stats", _NATIVE),
+    "trace stats": (["trace", "stats"], [], "trace stats", _NATIVE),
+    "trace show": (["trace", "show"], [], "trace show", "bad trace line 1"),
+    "trace import": (["trace", "import"], ["--format", "msr", "-o", "out.csv"], "trace import",
+                     "expected >= 6 comma-separated fields"),
+}
+
+
+@pytest.mark.parametrize("reader", list(_TRACE_READERS))
+@pytest.mark.parametrize("content", [None, "time,kind,extent,offset,size\n0.5,R,0,0,4096\n"],
+                         ids=["missing-file", "no-header"])
+def test_unreadable_trace_file_is_one_line_exit_2(tmp_path, capsys, monkeypatch,
+                                                  reader, content):
+    """A trace file fails the way a ``--faults`` file does: one stderr
+    line, ``repro <cmd>: <path>...: <reason>``, and exit status 2."""
+    before, after, command, reason = _TRACE_READERS[reader]
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "t.csv"
+    if content is None:
+        reason = "No such file or directory"
+    else:
+        path.write_text(content)
+    with pytest.raises(SystemExit) as exited:
+        main([*before, str(path), *after])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert err.startswith(f"repro {command}: {path}"), err
+    assert reason in err, err
+    assert not (tmp_path / "out.csv").exists()

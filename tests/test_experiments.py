@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.cache import ResultCache
 from repro.analysis.energy import joules_to_kwh, mean_watts, savings_fraction
 from repro.analysis.experiments import (
     ComparisonResult,
@@ -11,12 +12,13 @@ from repro.analysis.experiments import (
     derive_goal,
     run_comparison,
     run_single,
-    standard_policies,
 )
 from repro.analysis.report import format_kv, format_series, format_table
-from repro.analysis.sweeps import series, sweep
 from repro.core.hibernator import HibernatorConfig
+from repro.faults.plan import DiskFailure, FaultPlan
+from repro.perf.digest import result_digest
 from repro.policies.always_on import AlwaysOnPolicy
+from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 from tests.conftest import poisson_trace
 
 
@@ -62,6 +64,29 @@ class TestDeriveGoal:
         with pytest.raises(ValueError):
             derive_goal(trace, small_config, slack=0.9)
 
+    @pytest.mark.parametrize("slack", [float("nan"), float("inf")])
+    def test_slack_must_be_finite(self, small_config, slack):
+        trace = poisson_trace(rate=20.0, duration=10.0, seed=40)
+        with pytest.raises(ValueError, match="finite number >= 1"):
+            derive_goal(trace, small_config, slack=slack)
+
+    def test_repeated_call_hits_the_cache(self, small_config, tmp_path):
+        trace = poisson_trace(rate=20.0, duration=10.0, seed=40)
+        cache = ResultCache(tmp_path)
+        goal, base = derive_goal(trace, small_config, slack=2.0, cache=cache)
+        assert (cache.hits, cache.stores) == (0, 1)
+        again, cached = derive_goal(trace, small_config, slack=2.0, cache=cache)
+        assert (cache.hits, cache.stores) == (1, 1)
+        assert again == goal and result_digest(cached) == result_digest(base)
+
+    def test_given_base_is_not_rerun(self, small_config, tmp_path):
+        trace = poisson_trace(rate=20.0, duration=10.0, seed=40)
+        cache = ResultCache(tmp_path)
+        goal, base = derive_goal(trace, small_config, slack=1.5, cache=cache)
+        looser, same = derive_goal(trace, small_config, slack=3.0, cache=cache, base=base)
+        assert same is base and looser == 3.0 * base.mean_response_s
+        assert (cache.hits, cache.misses) == (0, 1)
+
     def test_empty_trace_rejected(self, small_config):
         from repro.traces.model import TraceBuilder
 
@@ -97,19 +122,40 @@ class TestComparison:
         assert len(counts) == 1
 
 
+#: run_comparison's six runtime-stripped result digests, events included,
+#: for the observed RAID-5 comparison with one disk failure below.
+_PINNED_COMPARISON = {
+    "Base": "b4e9e5c906e97cc5637186541ba72e7336f72f0c14852177bd4c0550d994d0db",
+    "TPM": "8695bc6836503ffdeda241d762c9347f89bd2a46ee29069d44a1ee25817c21ca",
+    "DRPM": "f13a2a5378c3c921801e0c3f8801e3cf9b662260a493b32c56c15452ea24d4bf",
+    "PDC": "f3b86580b7dd1540db31f86dfefefe3f13cf53952326ad7ef5fd4060069082f9",
+    "MAID": "d0fa684eb5bd30c0cbcdfb51ad31ad4beb29d3dcdcb13de68d8d47e3d3f0e6b6",
+    "Hibernator": "dd32b3bd6efcfb842dd25bc5b3fc542ed2e2d68468dba7b3701e57fd3f65bb41",
+}
+
+
+def test_comparison_digests_are_pinned():
+    """The paper's recipe end to end: Base derives the goal, then every
+    scheme of ``comparison_specs`` runs on the same trace, array and
+    fault plan. A drift in any scheme's construction, priming, MAID
+    placement or event stream moves its digest."""
+    trace = generate_synthetic(SyntheticConfig(name="pin", duration=120.0, rate=20.0,
+                                               num_extents=80, seed=24))
+    comparison = run_comparison(
+        trace, default_array_config(num_disks=4, num_extents=80, raid5=True), slack=2.0,
+        hibernator_config=HibernatorConfig(epoch_seconds=30.0, migration="sorted"),
+        observe=True, faults=FaultPlan(disk_failures=(DiskFailure(time_s=50.0, disk=1),)),
+    )
+    assert comparison.goal_s == 0.011260870333592665
+    assert all(result.events for result in comparison.results.values())
+    assert {name: result_digest(result)
+            for name, result in comparison.results.items()} == _PINNED_COMPARISON
+
+
 def test_run_single_passes_window(small_config):
     trace = poisson_trace(rate=20.0, duration=30.0, seed=42)
     result = run_single(trace, small_config, AlwaysOnPolicy(), window_s=10.0)
     assert result.latency_windows
-
-
-def test_standard_policies_shape(small_config):
-    trace = poisson_trace(rate=10.0, duration=10.0, seed=43)
-    schemes = standard_policies(trace, small_config)
-    names = [policy.name for policy, _ in schemes]
-    assert names == ["TPM", "DRPM", "PDC", "MAID", "Hibernator"]
-    maid_config = dict(schemes)["MAID"] if False else schemes[3][1]
-    assert maid_config.initial_disks is not None
 
 
 class TestReport:
@@ -137,9 +183,3 @@ class TestReport:
         out = format_kv("Disk", [("rpm", "15000"), ("capacity", "36 GB")])
         assert "rpm" in out and "36 GB" in out
 
-
-class TestSweep:
-    def test_sweep_collects_points(self):
-        points = sweep([1, 2, 3], lambda v: {"double": 2.0 * v})
-        assert [p.value for p in points] == [1.0, 2.0, 3.0]
-        assert series(points, "double") == [(1.0, 2.0), (2.0, 4.0), (3.0, 6.0)]

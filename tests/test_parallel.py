@@ -21,11 +21,8 @@ from repro.analysis.parallel import (
     comparison_specs,
     execute,
     execute_one,
-    map_parallel,
     run_spec,
 )
-from repro.analysis.sweeps import series, sweep
-from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.maid import MaidConfig
 from repro.traces.synthetic import SizeMix, SyntheticConfig, generate_synthetic
 
@@ -112,13 +109,6 @@ class TestPolicySpec:
         cache_disks = MaidConfig().num_cache_disks
         assert adjusted.initial_disks == tuple(range(cache_disks, config.num_disks))
 
-    def test_instance_passthrough(self):
-        trace = generate_synthetic(small_trace_config())
-        config = small_array()
-        policy = AlwaysOnPolicy()
-        built, adjusted = PolicySpec.from_instance(policy).build(trace, config)
-        assert built is policy and adjusted is config
-
     def test_empty_spec_rejected(self):
         trace = generate_synthetic(small_trace_config())
         with pytest.raises(ValueError, match="empty PolicySpec"):
@@ -129,8 +119,6 @@ class TestExecute:
     def test_rejects_bad_jobs(self):
         with pytest.raises(ValueError):
             execute([], jobs=0)
-        with pytest.raises(ValueError):
-            map_parallel(float, [1], jobs=0)
 
     def test_results_in_spec_order(self):
         trace_spec = TraceSpec.from_generator("synthetic", small_trace_config())
@@ -207,50 +195,3 @@ class TestRunComparison:
         assert names == ["tpm", "drpm", "pdc", "maid", "hibernator"]
         assert all(spec.goal_s == 0.05 for spec in specs)
 
-
-def _square_metrics(v: float) -> dict[str, float]:
-    return {"y": v * v}
-
-
-class _Offset:
-    def __init__(self, offset: float) -> None:
-        self.offset = offset
-
-    def metrics(self, v: float) -> dict[str, float]:
-        return {"y": v + self.offset}
-
-
-class TestSweep:
-    def test_sequential_default(self):
-        points = sweep([1.0, 2.0, 3.0], _square_metrics)
-        assert series(points, "y") == [(1.0, 1.0), (2.0, 4.0), (3.0, 9.0)]
-
-    def test_parallel_matches_sequential(self):
-        values = [1.0, 2.0, 3.0, 4.0]
-        assert sweep(values, _square_metrics, jobs=2) == sweep(values, _square_metrics)
-
-    def test_cache_round_trip(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        values = [1.0, 2.0]
-        first = sweep(values, _square_metrics, cache=cache)
-        assert cache.stats()["stores"] == 2
-        second = sweep(values, _square_metrics, cache=cache)
-        assert cache.stats()["hits"] == 2
-        assert first == second
-
-    def test_lambda_needs_explicit_tag(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ValueError, match="cache_tag"):
-            sweep([1.0], lambda v: {"y": v}, cache=cache)
-        points = sweep([2.0], lambda v: {"y": v}, cache=cache, cache_tag="ident")
-        assert points[0].metrics == {"y": 2.0}
-        assert sweep([2.0], lambda v: {"y": -v}, cache=cache, cache_tag="ident")[0].metrics == {
-            "y": 2.0
-        }  # served from cache under the shared tag
-
-    def test_bound_method_needs_explicit_tag(self, tmp_path):
-        """Its qualname names the class, not the instance: ``_Offset(1).metrics``
-        and ``_Offset(5).metrics`` would share one cache entry."""
-        cache = ResultCache(tmp_path)
-        with pytest.raises(ValueError, match="cache_tag"):
-            sweep([1.0], _Offset(1.0).metrics, cache=cache)

@@ -28,7 +28,7 @@ MODULES = [
     "repro.core.speed_setting", "repro.core.layout", "repro.core.migration",
     "repro.core.guarantee", "repro.core.hibernator",
     "repro.analysis", "repro.analysis.energy", "repro.analysis.experiments",
-    "repro.analysis.report", "repro.analysis.sweeps",
+    "repro.analysis.report",
     "repro.analysis.parallel", "repro.analysis.cache",
     "repro.analysis.ascii_plot", "repro.analysis.export",
     "repro.analysis.atomicio",
