@@ -86,7 +86,7 @@ def _goal_ms(text: str) -> float:
     running without a usable goal or reaching the wire as null."""
     try:
         return finite_goal(float(text), "value")
-    except ProtocolError as exc:
+    except ValueError as exc:  # float()'s, or finite_goal's ProtocolError
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 

@@ -221,9 +221,8 @@ class DiskArray:
             else:
                 for phys in physicals:
                     self.submit_background_op(phys.disk, phys.block, phys.kind, phys.size)
-            # Acknowledgements always fire: tuple fast path.
-            self.engine.schedule_after_fast(
-                self.config.write_cache_latency_s, self._acknowledge, (request,)
+            self.engine.schedule_after(
+                self.config.write_cache_latency_s, self._acknowledge, request
             )
             return
 

@@ -276,8 +276,7 @@ class MultiSpeedDisk:
             self.emit(SpeedTransition(
                 time=now, disk=self.index, from_rpm=self.rpm, to_rpm=to_rpm,
             ))
-        # Transitions always run to completion: fast path.
-        self.engine.schedule_after_fast(duration, self._finish_transition)
+        self.engine.schedule_after(duration, self._finish_transition)
 
     def _finish_transition(self) -> None:
         now = self.engine.now
@@ -340,8 +339,7 @@ class MultiSpeedDisk:
         if self.fault_state is not None:
             service *= self.fault_state.slow_factor(now)
         op.started = now
-        # Service completions are never cancelled: fast path.
-        self.engine.schedule_after_fast(service, self._complete, (op,))
+        self.engine.schedule_after(service, self._complete, op)
 
     def _complete(self, op: DiskOp) -> None:
         now = self.engine.now
@@ -415,7 +413,7 @@ class MultiSpeedDisk:
         self.last_activity_time = now
         self.state = DiskState.IDLE
         self.meter.update(now, self._idle_watts(self.rpm), "idle")
-        self.engine.schedule_after_fast(backoff, self._resubmit, (op,))
+        self.engine.schedule_after(backoff, self._resubmit, op)
         if self._requested_rpm != self.rpm:
             self._begin_transition(self._requested_rpm)
         elif self.queue:

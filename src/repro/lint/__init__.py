@@ -3,11 +3,10 @@
 A linter that enforces the invariants this repo's reproduction
 guarantees rest on — determinism of result-producing code, unit-suffix
 consistency, the cache's code version, observability pairing, the
-serve-protocol version, resource lifecycles, module-level state and the
-engine fast path. Cross-file rules build on a project-wide symbol table
-and call graph (:mod:`repro.lint.callgraph`). See ``docs/linting.md``
-for the rule catalog and suppression syntax, and run it via
-``repro lint``.
+serve-protocol version, resource lifecycles and module-level state.
+Cross-file rules build on a project-wide symbol table and call graph
+(:mod:`repro.lint.callgraph`). See ``docs/linting.md`` for the rule
+catalog and suppression syntax, and run it via ``repro lint``.
 """
 
 from repro.lint.callgraph import CallGraph, SymbolTable

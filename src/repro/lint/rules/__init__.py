@@ -6,7 +6,6 @@ Rule id namespaces:
 * ``UNIT00x`` — unit consistency (:mod:`repro.lint.rules.units`)
 * ``CACHE002`` — CODE_VERSION guard (:mod:`repro.lint.rules.cachekey`)
 * ``OBS00x`` — observability pairing (:mod:`repro.lint.rules.obspairing`)
-* ``PERF00x`` — engine fast-path contracts (:mod:`repro.lint.rules.perf`)
 * ``PROTO003`` — serve-protocol version guard (:mod:`repro.lint.rules.protocol`)
 * ``RES00x`` — resource lifecycle (:mod:`repro.lint.rules.resources`)
 * ``CONC003`` — module-level mutable state (:mod:`repro.lint.rules.concurrency`)
@@ -18,7 +17,6 @@ from repro.lint.rules import (
     concurrency,
     determinism,
     obspairing,
-    perf,
     protocol,
     resources,
     units,
@@ -29,7 +27,6 @@ __all__ = [
     "concurrency",
     "determinism",
     "obspairing",
-    "perf",
     "protocol",
     "resources",
     "units",

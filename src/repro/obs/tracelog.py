@@ -148,12 +148,14 @@ def read_jsonl(path: str | Path | IO[str]) -> list[TraceEvent]:
     """Read a JSONL trace file back into event objects.
 
     Blank lines are skipped; malformed lines raise ``ValueError`` with
-    the 1-based line number — except a final line that is not valid JSON
-    at all, which is the signature of a write torn mid-line (daemon
+    the 1-based line number — except a final line that starts a JSON
+    object (``{``, as every line the writer emits does) but does not
+    parse, which is the signature of a write torn mid-line (daemon
     killed, disk full) and is skipped with a warning so a trace cut off
-    by a crash stays readable. A *semantically* bad final line (valid
-    JSON, unknown event kind) still raises: that is schema drift, not a
-    torn write.
+    by a crash stays readable. A final line that is no JSON object at
+    all (a CSV header, say) still raises, and so does a *semantically*
+    bad one (valid JSON, unknown event kind): that is schema drift, not
+    a torn write.
     """
     def _read(fh: IO[str]) -> list[TraceEvent]:
         lines = fh.read().split("\n")
@@ -169,7 +171,7 @@ def read_jsonl(path: str | Path | IO[str]) -> list[TraceEvent]:
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                if index == last_payload:
+                if index == last_payload and line.startswith("{"):
                     warnings.warn(
                         f"skipping torn final trace line {index + 1} "
                         f"(interrupted write?): {exc}",

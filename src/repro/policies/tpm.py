@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from repro.disks.disk import DiskState, MultiSpeedDisk
 from repro.disks.specs import DiskSpec
 from repro.policies.base import PowerPolicy
-from repro.sim.engine import Engine, EventHandle
+from repro.sim.engine import Engine
 
 if typing.TYPE_CHECKING:  # pragma: no cover
     from repro.sim.runner import ArraySimulation
@@ -44,9 +44,12 @@ def breakeven_seconds(spec: DiskSpec, rpm: int | None = None) -> float:
 class IdleSpindownManager:
     """Reusable idle-timeout spin-down machinery.
 
-    Arms a timer whenever a managed disk goes idle; cancels it on
-    activity; spins the disk down when it fires. TPM uses it for every
-    disk; PDC and MAID reuse it for their passive disks.
+    Arms a timer whenever a managed disk goes idle and spins the disk
+    down when it fires. Each disk has an arm count: arming and disk
+    activity both bump it, and a timer acts only if its count is still
+    current, so activity or a re-arm supersedes every earlier timer.
+    TPM uses it for every disk; PDC and MAID reuse it for their passive
+    disks.
     """
 
     def __init__(self, engine: Engine, threshold_s: float) -> None:
@@ -54,49 +57,27 @@ class IdleSpindownManager:
             raise ValueError(f"threshold must be positive, got {threshold_s!r}")
         self.engine = engine
         self.threshold_s = threshold_s
-        self._timers: dict[int, EventHandle] = {}
-        self._managed: set[int] = set()
+        self._arms: dict[int, int] = {}
 
     def manage(self, disk: MultiSpeedDisk) -> None:
         """Start managing ``disk`` (hooks its idle/activity callbacks)."""
-        self._managed.add(disk.index)
-        disk.on_idle = self._disk_idle
+        self._arms.setdefault(disk.index, 0)
+        disk.on_idle = self._arm
         disk.on_activity = self._disk_activity
         if disk.state is DiskState.IDLE and disk.queue_length == 0:
             self._arm(disk)
 
-    def unmanage(self, disk: MultiSpeedDisk) -> None:
-        """Stop managing ``disk`` and cancel any pending timer."""
-        self._managed.discard(disk.index)
-        self._cancel(disk.index)
-        disk.on_idle = None
-        disk.on_activity = None
-
-    def is_managed(self, disk_index: int) -> bool:
-        return disk_index in self._managed
-
     def _arm(self, disk: MultiSpeedDisk) -> None:
-        self._cancel(disk.index)
-        self._timers[disk.index] = self.engine.schedule_after(
-            self.threshold_s, self._fire, disk
-        )
-
-    def _cancel(self, disk_index: int) -> None:
-        handle = self._timers.pop(disk_index, None)
-        if handle is not None:
-            handle.cancel()
-
-    def _disk_idle(self, disk: MultiSpeedDisk) -> None:
-        if disk.index in self._managed:
-            self._arm(disk)
+        count = self._arms[disk.index] + 1
+        self._arms[disk.index] = count
+        self.engine.schedule_after(self.threshold_s, self._fire, disk, count)
 
     def _disk_activity(self, disk: MultiSpeedDisk) -> None:
-        self._cancel(disk.index)
+        self._arms[disk.index] += 1
 
-    def _fire(self, disk: MultiSpeedDisk) -> None:
-        self._timers.pop(disk.index, None)
-        if disk.index not in self._managed:
-            return
+    def _fire(self, disk: MultiSpeedDisk, count: int) -> None:
+        if count != self._arms[disk.index]:
+            return  # superseded by activity or a later arm
         if disk.state is DiskState.IDLE and disk.queue_length == 0:
             disk.spin_down()
 

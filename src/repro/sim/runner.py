@@ -212,14 +212,13 @@ class ArraySimulation:
     def _schedule_next_arrival(self) -> None:
         i = self._next_index
         if i < self._trace_len:
-            # Arrivals are never cancelled: tuple fast path.
-            self.engine.schedule_fast(self._times[i], self._arrive)
+            self.engine.schedule(self._times[i], self._arrive)
 
     def _arrive(self) -> None:
         if self._halted:
-            # Graceful shutdown: the arrival chain is broken here (fast
-            # events cannot be cancelled), so no further trace requests
-            # are submitted while in-flight ones drain.
+            # Graceful shutdown: the arrival chain is broken here (events
+            # cannot be cancelled), so no further trace requests are
+            # submitted while in-flight ones drain.
             return
         i = self._next_index
         self._next_index = i + 1
@@ -262,32 +261,21 @@ class ArraySimulation:
             self._latency_windows.add(self.engine.now, latency)
         self._on_completion(request)
 
-    def _sample_speeds(self) -> None:
+    def _sample(self, at: float) -> None:
+        """Append the array's mean rpm, spinning disks and watts at ``at``."""
         speeds = self.array.speeds()
         mean_rpm = sum(speeds) / len(speeds)
         spinning = sum(1 for s in speeds if s > 0)
-        self._speed_samples.append((self.engine.now, mean_rpm, spinning))
+        self._speed_samples.append((at, mean_rpm, spinning))
         watts = sum(d.meter.watts for d in self.array.disks)
-        self._power_samples.append((self.engine.now, watts))
+        self._power_samples.append((at, watts))
+
+    def _sample_tick(self) -> None:
+        """The periodic sampler; stops re-arming once the workload drains."""
+        self._sample(self.engine.now)
         if self.workload_open:
             assert self._window_s is not None
-            self.engine.schedule_after_fast(self._window_s, self._sample_speeds)
-
-    def _emit_terminal_sample(self, end: float) -> None:
-        """Close the speed/power time series with a sample at ``end``.
-
-        The periodic sampler stops rescheduling once the workload drains,
-        so without this the series would end one window early and
-        timelines would not cover the full energy-accounting window.
-        """
-        if self._speed_samples and self._speed_samples[-1][0] >= end:
-            return
-        speeds = self.array.speeds()
-        mean_rpm = sum(speeds) / len(speeds)
-        spinning = sum(1 for s in speeds if s > 0)
-        self._speed_samples.append((end, mean_rpm, spinning))
-        watts = sum(d.meter.watts for d in self.array.disks)
-        self._power_samples.append((end, watts))
+            self.engine.schedule_after(self._window_s, self._sample_tick)
 
     def _drained(self) -> bool:
         return self._next_index >= self._trace_len and self._outstanding == 0
@@ -351,7 +339,7 @@ class ArraySimulation:
             ))
         self._schedule_next_arrival()
         if self._window_s is not None:
-            self.engine.schedule_fast(0.0, self._sample_speeds)
+            self.engine.schedule(0.0, self._sample_tick)
 
     def step(
         self,
@@ -518,8 +506,11 @@ class ArraySimulation:
             breakdown.merge(disk.meter.breakdown)
             spinups += disk.spinups
             speed_changes += disk.speed_changes
-        if self._window_s is not None:
-            self._emit_terminal_sample(end)
+        samples = self._speed_samples
+        if self._window_s is not None and (not samples or samples[-1][0] < end):
+            # The tick stops re-arming once the workload drains; close the
+            # series at `end` so timelines cover the accounting window.
+            self._sample(end)
         windows = self._latency_windows.finish(end) if self._latency_windows else []
         has_latency = self.latency.n > 0
         # Percentiles need retained samples; when they are unavailable

@@ -337,11 +337,8 @@ def test_serve_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("command", ["serve", "ctl"])
-@pytest.mark.parametrize("goal", ["nan", "inf", "-inf", "1e400", "0", "-5"])
-def test_goal_ms_must_be_finite_and_positive(tmp_path, capsys, command, goal):
-    """Both --goal-ms flags apply set-goal's check: a NaN or infinite goal
-    would disable the boost, and ctl would send NaN as null (clearing it)."""
+def _refused_goal_ms(tmp_path, capsys, command: str, goal: str) -> str:
+    """stderr of ``serve`` or ``ctl set-goal`` refusing ``--goal-ms=goal``."""
     sock = str(tmp_path / "c.sock")
     if command == "serve":
         argv = ["serve", "--kind", "synthetic", "--duration", "5", "--rate", "10",
@@ -351,8 +348,25 @@ def test_goal_ms_must_be_finite_and_positive(tmp_path, capsys, command, goal):
     with pytest.raises(SystemExit) as exc:
         main([*argv, f"--goal-ms={goal}"])
     assert exc.value.code == 2
-    err = capsys.readouterr().err
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["serve", "ctl"])
+@pytest.mark.parametrize("goal", ["nan", "inf", "-inf", "1e400", "0", "-5"])
+def test_goal_ms_must_be_finite_and_positive(tmp_path, capsys, command, goal):
+    """Both --goal-ms flags apply set-goal's check: a NaN or infinite goal
+    would disable the boost, and ctl would send NaN as null (clearing it)."""
+    err = _refused_goal_ms(tmp_path, capsys, command, goal)
     assert "--goal-ms" in err and "must be a finite number > 0" in err
+
+
+@pytest.mark.parametrize("command", ["serve", "ctl"])
+def test_goal_ms_that_is_no_number_names_the_reason(tmp_path, capsys, command):
+    """float()'s own reason, not argparse's "invalid _goal_ms value"."""
+    err = _refused_goal_ms(tmp_path, capsys, command, "abc")
+    assert "Traceback" not in err
+    assert err.splitlines()[-1] == (f"repro {command}: error: argument --goal-ms: "
+                                    "could not convert string to float: 'abc'")
 
 
 def test_ctl_unreachable_daemon(tmp_path, capsys):
@@ -515,12 +529,15 @@ _TRACE_READERS = {
 
 
 @pytest.mark.parametrize("reader", list(_TRACE_READERS))
-@pytest.mark.parametrize("content", [None, "time,kind,extent,offset,size\n0.5,R,0,0,4096\n"],
-                         ids=["missing-file", "no-header"])
+@pytest.mark.parametrize("content", [None, "time,kind,extent,offset,size\n0.5,R,0,0,4096\n",
+                                     "time,kind,extent,offset,size\n"],
+                         ids=["missing-file", "no-header", "one-line"])
 def test_unreadable_trace_file_is_one_line_exit_2(tmp_path, capsys, monkeypatch,
                                                   reader, content):
     """A trace file fails the way a ``--faults`` file does: one stderr
-    line, ``repro <cmd>: <path>...: <reason>``, and exit status 2."""
+    line, ``repro <cmd>: <path>...: <reason>``, and exit status 2. A
+    one-line file that is no event trace is refused too, not skipped as
+    a torn final line."""
     before, after, command, reason = _TRACE_READERS[reader]
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "t.csv"

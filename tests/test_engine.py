@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.engine import Engine, SimulationError
+from repro.sim.engine import SimulationError
 
 
 def test_events_fire_in_time_order(engine):
@@ -22,6 +22,20 @@ def test_equal_timestamps_fire_in_schedule_order(engine):
         engine.schedule(5.0, order.append, tag)
     engine.run()
     assert order == ["first", "second", "third"]
+
+
+def test_callbacks_receive_their_args(engine):
+    seen = []
+    engine.schedule(1.0, lambda a, b: seen.append((a, b)), 1, 2)
+    engine.schedule_after(2.0, lambda: seen.append(()))
+    engine.run()
+    assert seen == [(1, 2), ()]
+
+
+def test_schedule_returns_no_handle(engine):
+    """Events cannot be cancelled, so there is nothing to hand back."""
+    assert engine.schedule(1.0, lambda: None) is None
+    assert engine.schedule_after(1.0, lambda: None) is None
 
 
 def test_clock_advances_to_event_time(engine):
@@ -53,29 +67,6 @@ def test_schedule_after_uses_current_time(engine):
     engine.schedule(0.0, chain)
     engine.run()
     assert times == [0.0, 1.5, 3.0]
-
-
-def test_cancelled_event_does_not_fire(engine):
-    fired = []
-    handle = engine.schedule(1.0, fired.append, "x")
-    engine.schedule(2.0, fired.append, "y")
-    handle.cancel()
-    engine.run()
-    assert fired == ["y"]
-
-
-def test_cancel_is_idempotent(engine):
-    handle = engine.schedule(1.0, lambda: None)
-    handle.cancel()
-    handle.cancel()
-    assert engine.run() == 0
-
-
-def test_cancel_releases_callback_references(engine):
-    big = object()
-    handle = engine.schedule(1.0, lambda x: None, big)
-    handle.cancel()
-    assert handle.args == ()
 
 
 def test_run_until_stops_before_later_events(engine):
@@ -152,10 +143,11 @@ def test_events_scheduled_during_run_execute(engine):
 
 
 def test_pending_events_counts_live_only(engine):
-    h1 = engine.schedule(1.0, lambda: None)
+    """Only events still queued count: a fired event stops counting."""
+    engine.schedule(1.0, lambda: None)
     engine.schedule(2.0, lambda: None)
     assert engine.pending_events == 2
-    h1.cancel()
+    engine.run(until=1.5)
     assert engine.pending_events == 1
 
 
@@ -166,17 +158,9 @@ def test_pending_events_drops_to_zero_after_run(engine):
     assert engine.pending_events == 0
 
 
-def test_pending_events_double_cancel_counts_once(engine):
-    h = engine.schedule(1.0, lambda: None)
-    engine.schedule(2.0, lambda: None)
-    h.cancel()
-    h.cancel()
-    assert engine.pending_events == 1
-
-
 def test_pending_events_tracks_mid_run_scheduling(engine):
-    """The live counter stays consistent through executed pops,
-    cancelled pops, and events scheduled from inside callbacks."""
+    """The count stays exact through executed pops and events scheduled
+    from inside callbacks."""
     observed = []
 
     def first():
@@ -188,22 +172,9 @@ def test_pending_events_tracks_mid_run_scheduling(engine):
         observed.append(engine.pending_events)
 
     engine.schedule(1.0, first)
-    doomed = engine.schedule(1.5, lambda: None)
-    doomed.cancel()
     engine.run()
     assert observed == [0, 1, 0]
     assert engine.pending_events == 0
-
-
-def test_peek_time_skips_cancelled(engine):
-    h1 = engine.schedule(1.0, lambda: None)
-    engine.schedule(2.0, lambda: None)
-    h1.cancel()
-    assert engine.peek_time() == 2.0
-
-
-def test_peek_time_empty():
-    assert Engine().peek_time() is None
 
 
 def test_reentrant_run_raises(engine):
@@ -220,121 +191,75 @@ def test_run_returns_executed_count(engine):
     assert engine.run() == 4
 
 
-# -- tuple fast path (schedule_fast / schedule_after_fast) -------------------
+
+# -- hot-path call shapes ----------------------------------------------------
+# Disk completions, array dispatch and trace arrivals schedule their events
+# from inside callbacks, with plain positional arguments, on the same two
+# calls as every other event.
 
 
 def test_fast_events_fire_in_time_order(engine):
+    """Relative delays queued from inside one callback fire in time
+    order, not in the order they were queued."""
     order = []
-    engine.schedule_fast(3.0, order.append, ("c",))
-    engine.schedule_fast(1.0, order.append, ("a",))
-    engine.schedule_fast(2.0, order.append, ("b",))
+    def dispatch():
+        engine.schedule_after(2.0, order.append, "c")
+        engine.schedule_after(0.0, order.append, "a")
+        engine.schedule_after(1.0, order.append, "b")
+    engine.schedule(1.0, dispatch)
     engine.run()
     assert order == ["a", "b", "c"]
 
 
-def test_fast_returns_nothing(engine):
-    assert engine.schedule_fast(1.0, lambda: None) is None
-    assert engine.schedule_after_fast(1.0, lambda: None) is None
-
-
 def test_fast_and_cancellable_interleave_in_schedule_order(engine):
-    """Mixed entry kinds at one timestamp share the sequence counter, so
-    they fire strictly in schedule order (and never compare a handle
-    against a callback tuple)."""
+    """schedule and schedule_after share one sequence counter, so events
+    at one timestamp fire strictly in schedule order, whichever call
+    queued them (an idle timer that a later one superseded keeps its
+    place and fires as a no-op)."""
     order = []
-    engine.schedule(5.0, order.append, "cancellable-1")
-    engine.schedule_fast(5.0, order.append, ("fast-1",))
-    engine.schedule(5.0, order.append, "cancellable-2")
-    engine.schedule_fast(5.0, order.append, ("fast-2",))
+    engine.schedule(5.0, order.append, "first")
+    engine.schedule_after(5.0, order.append, "second")
+    engine.schedule(5.0, order.append, "third")
+    engine.schedule_after(5.0, order.append, "fourth")
     engine.run()
-    assert order == ["cancellable-1", "fast-1", "cancellable-2", "fast-2"]
-
-
-def test_cancelled_handle_among_fast_events(engine):
-    order = []
-    engine.schedule_fast(1.0, order.append, ("a",))
-    doomed = engine.schedule(1.0, order.append, "doomed")
-    engine.schedule_fast(1.0, order.append, ("b",))
-    doomed.cancel()
-    engine.run()
-    assert order == ["a", "b"]
+    assert order == ["first", "second", "third", "fourth"]
 
 
 def test_fast_schedule_in_past_raises(engine):
-    engine.schedule_fast(2.0, lambda: None)
-    engine.run()
+    """A callback that schedules before the current time is refused
+    mid-run, and the refused event is not queued."""
+    def late():
+        engine.schedule(1.0, lambda: None)
+    engine.schedule(2.0, late)
     with pytest.raises(SimulationError):
-        engine.schedule_fast(1.0, lambda: None)
+        engine.run()
+    assert engine.pending_events == 0
 
 
 def test_fast_schedule_after_negative_delay_raises(engine):
+    """A refused negative delay queues nothing and leaves the queue as
+    it was."""
+    engine.schedule(1.0, lambda: None)
     with pytest.raises(SimulationError):
-        engine.schedule_after_fast(-0.1, lambda: None)
+        engine.schedule_after(-0.1, lambda: None)
+    assert engine.pending_events == 1
+    assert engine.run() == 1
 
 
 def test_fast_schedule_after_uses_current_time(engine):
     fired = []
-    engine.schedule(2.0, lambda: engine.schedule_after_fast(1.5, lambda: fired.append(engine.now)))
+    engine.schedule(2.0, lambda: engine.schedule_after(1.5, lambda: fired.append(engine.now)))
     engine.run()
     assert fired == [3.5]
 
 
 def test_pending_events_counts_fast_entries(engine):
-    engine.schedule_fast(1.0, lambda: None)
-    handle = engine.schedule(2.0, lambda: None)
+    """Events from schedule and schedule_after count alike, including
+    those queued from inside a callback."""
+    engine.schedule(1.0, lambda: engine.schedule_after(5.0, lambda: None))
+    engine.schedule_after(2.0, lambda: None)
     assert engine.pending_events == 2
-    handle.cancel()
-    assert engine.pending_events == 1
-    engine.run()
-    assert engine.pending_events == 0
-
-
-def test_peek_time_sees_fast_entries_past_cancelled(engine):
-    doomed = engine.schedule(1.0, lambda: None)
-    engine.schedule_fast(2.0, lambda: None)
-    doomed.cancel()
-    assert engine.peek_time() == 2.0
-
-
-def test_fast_events_pass_args_tuple(engine):
-    seen = []
-    engine.schedule_fast(1.0, lambda a, b: seen.append((a, b)), (1, 2))
-    engine.run()
-    assert seen == [(1, 2)]
-
-
-def test_cancel_after_fire_keeps_pending_events_exact(engine):
-    """Cancelling a handle whose event already fired must not decrement
-    the live counter again (regression: pending_events went negative)."""
-    handle = engine.schedule(1.0, lambda: None)
-    engine.schedule(2.0, lambda: None)
     engine.run(until=1.5)
-    assert handle.fired
-    assert engine.pending_events == 1
-    handle.cancel()
-    handle.cancel()
-    assert engine.pending_events == 1
+    assert engine.pending_events == 2
     engine.run()
     assert engine.pending_events == 0
-
-
-def test_cancel_during_own_callback_keeps_count_exact(engine):
-    """A handle that cancels itself from inside its callback is already
-    consumed; the live count must stay exact."""
-    handles = []
-    handles.append(engine.schedule(1.0, lambda: handles[0].cancel()))
-    engine.schedule(2.0, lambda: None)
-    engine.run()
-    assert engine.pending_events == 0
-
-
-def test_cancel_releases_engine_reference(engine):
-    handle = engine.schedule(1.0, lambda: None)
-    handle.cancel()
-    assert handle._engine is None
-
-
-def test_fired_handle_releases_engine_reference(engine):
-    handle = engine.schedule(1.0, lambda: None)
-    engine.run()
-    assert handle._engine is None

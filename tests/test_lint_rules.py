@@ -20,7 +20,7 @@ from repro.lint import check_protocol_version_bump, lint
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 RULES = ["DET001", "DET002", "DET003", "DET004",
-         "UNIT001", "UNIT002", "OBS001", "OBS002", "PERF001",
+         "UNIT001", "UNIT002", "OBS001", "OBS002",
          "RES001", "RES002", "CONC003"]
 
 
@@ -52,7 +52,6 @@ def test_expected_bad_fixture_counts():
     expected = {
         "DET001": 3, "DET002": 2, "DET003": 3, "DET004": 3,
         "UNIT001": 3, "UNIT002": 3, "OBS001": 1, "OBS002": 2,
-        "PERF001": 3,
         "RES001": 3, "RES002": 2,
         "CONC003": 3,
     }

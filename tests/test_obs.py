@@ -120,6 +120,13 @@ class TestTraceLog:
         with pytest.raises(ValueError, match="line 1"):
             read_jsonl(buf)
 
+    def test_read_jsonl_refuses_a_lone_line_that_is_no_json_object(self):
+        # Every line the writer emits is one JSON object, so only a final
+        # line starting with "{" can be a torn write. A file whose only
+        # line is a CSV header is no event trace at all.
+        with pytest.raises(ValueError, match="bad trace line 1"):
+            read_jsonl(io.StringIO("time,kind,extent,offset,size\n"))
+
     def test_read_jsonl_skips_torn_last_line(self):
         # A final line that is not valid JSON is the signature of a write
         # interrupted mid-line (crash, SIGKILL); the intact prefix stays

@@ -9,15 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.disks.disk import DiskState
 from repro.disks.mapping import ExtentMap
 from repro.disks.mechanics import DiskMechanics
 from repro.disks.specs import make_multispeed_spec, ultrastar_36z15
+from repro.policies.tpm import IdleSpindownManager
 from repro.sim.engine import Engine
 from repro.sim.stats import DeficitTracker, OnlineStats, TimeWeighted
 
 
 # ---------------------------------------------------------------------------
-# Engine: event ordering
+# Engine: event ordering; idle spin-down timers
 # ---------------------------------------------------------------------------
 
 @given(st.lists(st.floats(min_value=0.0, max_value=1e6,
@@ -33,19 +35,57 @@ def test_engine_fires_in_sorted_order(times):
     assert engine.now == max(times)
 
 
-@given(st.lists(st.tuples(st.floats(min_value=0.0, max_value=1e3,
-                                    allow_nan=False),
-                          st.booleans()),
-                min_size=1, max_size=40))
-def test_engine_cancellation_never_fires(events):
+class _FakeDisk:
+    """The slice of MultiSpeedDisk the idle spin-down manager uses."""
+
+    index = 0
+    queue_length = 0
+
+    def __init__(self, engine):
+        self.engine = engine
+        self.state = DiskState.IDLE
+        self.on_idle = None
+        self.on_activity = None
+        self.spin_downs = []
+
+    def busy(self):
+        self.state = DiskState.ACTIVE
+        self.on_activity(self)
+
+    def idle(self):
+        self.state = DiskState.IDLE
+        self.on_idle(self)
+
+    def spin_down(self):
+        self.spin_downs.append(self.engine.now)
+        self.state = DiskState.STANDBY
+
+
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=8),
+                          st.integers(min_value=1, max_value=4)),
+                max_size=12),
+       st.integers(min_value=1, max_value=6))
+def test_idle_timer_fires_only_after_a_full_idle_stretch(periods, threshold):
+    """``periods`` are (idle, busy) tick counts from t=0, after which the
+    disk stays idle. The disk spins down ``threshold`` after the start of
+    the first idle stretch longer than the threshold. On a tie the timer
+    ``manage()`` armed before the activity was scheduled fires first; a
+    timer armed later by the disk going idle loses to the activity."""
     engine = Engine()
-    fired = []
-    for t, keep in events:
-        handle = engine.schedule(t, fired.append, (t, keep))
-        if not keep:
-            handle.cancel()
+    disk = _FakeDisk(engine)
+    IdleSpindownManager(engine, threshold_s=float(threshold)).manage(disk)
+    t = 0
+    for idle, busy in periods:
+        engine.schedule(float(t + idle), disk.busy)
+        engine.schedule(float(t + idle + busy), disk.idle)
+        t += idle + busy
     engine.run()
-    assert fired == sorted((t, k) for t, k in events if k)
+    start = 0
+    for idle, busy in periods:
+        if idle > threshold or (start == 0 and idle == threshold):
+            break
+        start += idle + busy
+    assert disk.spin_downs[0] == start + threshold
 
 
 # ---------------------------------------------------------------------------

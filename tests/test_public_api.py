@@ -41,9 +41,8 @@ MODULES = [
     "repro.lint.guard", "repro.lint.callgraph",
     "repro.lint.rules", "repro.lint.rules.determinism",
     "repro.lint.rules.units", "repro.lint.rules.cachekey",
-    "repro.lint.rules.obspairing", "repro.lint.rules.perf",
-    "repro.lint.rules.protocol", "repro.lint.rules.resources",
-    "repro.lint.rules.concurrency",
+    "repro.lint.rules.obspairing", "repro.lint.rules.protocol",
+    "repro.lint.rules.resources", "repro.lint.rules.concurrency",
     "repro.perf", "repro.perf.scenarios", "repro.perf.digest",
     "repro.cli",
 ]

@@ -4,12 +4,16 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.experiments import default_array_config
+from repro.analysis.parallel import PolicySpec, RunSpec, TraceSpec, run_spec
 from repro.disks.disk import DiskState, MultiSpeedDisk
 from repro.disks.specs import ultrastar_36z15
+from repro.perf.digest import result_digest
 from repro.policies.always_on import AlwaysOnPolicy
 from repro.policies.tpm import IdleSpindownManager, TpmConfig, TpmPolicy, breakeven_seconds
 from repro.sim.request import DiskOp, IoKind
 from repro.sim.runner import ArraySimulation
+from repro.traces.synthetic import SyntheticConfig
 from tests.conftest import make_trace
 
 
@@ -55,14 +59,6 @@ class TestIdleSpindownManager:
         engine.run()
         # Timer re-armed after the op drained; eventually spins down.
         assert disk.state is DiskState.STANDBY
-
-    def test_unmanage_stops_spindown(self, engine):
-        disk = self.make_disk(engine)
-        manager = IdleSpindownManager(engine, threshold_s=5.0)
-        manager.manage(disk)
-        manager.unmanage(disk)
-        engine.run()
-        assert disk.state is DiskState.IDLE
 
     def test_threshold_validation(self, engine):
         with pytest.raises(ValueError):
@@ -116,3 +112,29 @@ class TestTpmPolicy:
         policy = TpmPolicy(TpmConfig(threshold_s=30.0))
         ArraySimulation(make_trace([0.0]), small_config, policy).run()
         assert "30.0" in policy.describe()
+
+
+#: Runtime-stripped result digests of the idle spin-down manager's three
+#: users on a sparse trace where its timers fire: TPM with a short
+#: threshold (350 spin-ups), PDC with a one-minute period (6) and MAID
+#: (50). The golden scenarios never fire an idle timer.
+_PINNED_IDLE_SPINDOWNS = {
+    "tpm": ("cd72c32c8fa3ddce14183e479d7df1ad471840b4b98abd64fba880a498933c3f",
+            {"threshold_s": 0.5}),
+    "pdc": ("d2a09803a34ac8a2840f61fb26c3aa52874ba4361264b423042c4999810f54e1",
+            {"period_s": 60}),
+    "maid": ("b84d8a1c23e0c5dbe9b7a9d7a0175e0532938bda07c8babde70567ecdc2e1895", {}),
+}
+
+
+@pytest.mark.parametrize("policy", sorted(_PINNED_IDLE_SPINDOWNS))
+def test_idle_spindown_digests_are_pinned(policy):
+    digest, params = _PINNED_IDLE_SPINDOWNS[policy]
+    result = run_spec(RunSpec(
+        trace=TraceSpec.from_generator("synthetic", SyntheticConfig(
+            duration=600, rate=5, num_extents=800, seed=3)),
+        array=default_array_config(num_disks=8, num_extents=800),
+        policy=PolicySpec.named(policy, **params),
+    ))
+    assert result.spinups > 0
+    assert result_digest(result) == digest
