@@ -34,7 +34,7 @@ import numpy as np
 #: Bump whenever a change to the simulator alters the results a spec
 #: produces (disk model, engine semantics, policy behaviour, ...).
 #: Old cache entries become unreachable rather than silently stale.
-CODE_VERSION = "2026.08-13"
+CODE_VERSION = "2026.08-14"
 
 _SUFFIX = ".result.pkl"
 

@@ -131,7 +131,8 @@ def _write_trace_out(events, path: str) -> None:
 
     with atomic_write(path) as fh:
         lines = write_jsonl(events, fh)
-    print(f"wrote {lines} trace event(s) to {path}")
+    # stderr, like repro serve: stdout may be a --json document.
+    print(f"wrote {lines} trace event(s) to {path}", file=sys.stderr)
 
 
 def _make_cache(args: argparse.Namespace):
@@ -866,12 +867,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "lint",
         help="run the simulator-aware static-analysis pass",
-        description="Whole-program static analysis enforcing the repo's "
+        description="Per-file static analysis enforcing the repo's "
                     "reproduction invariants: determinism (DET*), unit "
-                    "consistency (UNIT*), cache-key completeness (CACHE*), "
-                    "observability pairing (OBS*), the serve-protocol "
-                    "version guard (PROTO003), resource lifecycle (RES*) and concurrency "
-                    "safety (CONC*). Exit codes: 0 no error-severity "
+                    "consistency (UNIT*), guarded observability emits "
+                    "(OBS002), resource lifecycle (RES*) and module-level "
+                    "mutable state (CONC003), plus the CODE_VERSION "
+                    "(CACHE002) and PROTOCOL_VERSION (PROTO003) bump guards "
+                    "under --guard-base. Exit codes: 0 no error-severity "
                     "findings (warnings are reported but non-fatal), "
                     "1 errors, 2 usage error.",
     )

@@ -1,15 +1,14 @@
-"""repro.lint: simulator-aware whole-program static analysis.
+"""repro.lint: simulator-aware static analysis, one file at a time.
 
 A linter that enforces the invariants this repo's reproduction
 guarantees rest on — determinism of result-producing code, unit-suffix
-consistency, the cache's code version, observability pairing, the
+consistency, the cache's code version, guarded observability emits, the
 serve-protocol version, resource lifecycles and module-level state.
-Cross-file rules build on a project-wide symbol table and call graph
-(:mod:`repro.lint.callgraph`). See ``docs/linting.md`` for the rule
-catalog and suppression syntax, and run it via ``repro lint``.
+Each rule judges a file from its own source; the two version guards
+read git history. See ``docs/linting.md`` for the rule catalog and
+suppression syntax, and run it via ``repro lint``.
 """
 
-from repro.lint.callgraph import CallGraph, SymbolTable
 from repro.lint.engine import LintResult, discover_files, lint
 from repro.lint.findings import Finding, Severity
 from repro.lint.guard import (
@@ -21,12 +20,10 @@ from repro.lint.registry import Rule, all_rules, register
 from repro.lint.reporters import render_json, render_rule_list, render_text
 
 __all__ = [
-    "CallGraph",
     "Finding",
     "LintResult",
     "Rule",
     "Severity",
-    "SymbolTable",
     "all_rules",
     "check_code_version_bump",
     "check_protocol_version_bump",

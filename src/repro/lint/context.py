@@ -1,25 +1,16 @@
-"""Per-file and per-project analysis context handed to rules.
+"""The per-file analysis context handed to rules.
 
 A :class:`FileContext` owns one parsed module: source text, AST, the
 dotted module name derived from the path, and lazily-built helpers
-(parent links) that several rules share. A :class:`ProjectContext` owns
-every file the engine loaded — the files being linted plus, when those
-files belong to an installed ``repro`` package tree, the *rest* of that
-tree as analysis context. Cross-file rules (the observability pairing
-rule builds a project-wide set of emitting functions) read the project;
-findings are only ever reported against the files actually selected for
-linting.
+(parent links, the import table) that several rules share. Every rule
+judges one file from its own context alone; no rule reads another file.
 """
 
 from __future__ import annotations
 
 import ast
-import typing
 from pathlib import Path
-from typing import Any, Iterator
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.lint.callgraph import CallGraph, SymbolTable
+from typing import Iterator
 
 
 def module_name_for_path(path: Path) -> str:
@@ -130,67 +121,3 @@ class FileContext:
             if isinstance(ancestor, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 return ancestor
         return None
-
-
-class ProjectContext:
-    """Every file loaded for this lint run.
-
-    ``files`` holds the files selected for linting; ``context_files``
-    additionally holds package siblings loaded purely as analysis
-    context. ``cache`` is a scratch dict rules use to memoize expensive
-    whole-project passes (keyed by rule-chosen strings) so the analysis
-    runs once per lint invocation, not once per file.
-    """
-
-    def __init__(
-        self,
-        files: list[FileContext],
-        context_files: list[FileContext] | None = None,
-    ) -> None:
-        self.files = files
-        self.context_files = context_files if context_files is not None else []
-        self.cache: dict[str, Any] = {}
-
-    def all_files(self) -> list[FileContext]:
-        """Linted files plus context-only files, linted files first."""
-        return [*self.files, *self.context_files]
-
-    # -- whole-program analysis ---------------------------------------------
-
-    def symbols(self) -> "SymbolTable":
-        """The project-wide symbol table (built once per lint run).
-
-        Indexes every function/method/class across all loaded files and
-        the re-export alias map, so rules resolve ``repro.*`` names to
-        their defining module (see :mod:`repro.lint.callgraph`).
-        """
-        from repro.lint.callgraph import SymbolTable
-
-        cached = self.cache.get("project.symbols")
-        if cached is None:
-            cached = SymbolTable.build(self.all_files())
-            self.cache["project.symbols"] = cached
-        return cached
-
-    def call_graph(self) -> "CallGraph":
-        """The project-wide call graph (built once per lint run)."""
-        from repro.lint.callgraph import CallGraph
-
-        cached = self.cache.get("project.call_graph")
-        if cached is None:
-            cached = CallGraph(self.symbols())
-            self.cache["project.call_graph"] = cached
-        return cached
-
-    def resolve_call(self, ctx: FileContext, func: ast.expr) -> str | None:
-        """Canonical dotted name a call resolves to, project-wide.
-
-        One step past :meth:`FileContext.qualified_call_name`: the
-        import-table resolution is chased through the symbol table's
-        re-export aliases, so ``from repro.obs import JsonlWriter``
-        call sites resolve to ``repro.obs.tracelog.JsonlWriter``.
-        """
-        dotted = ctx.qualified_call_name(func)
-        if dotted is None:
-            return None
-        return self.symbols().resolve(dotted)

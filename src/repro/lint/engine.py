@@ -1,9 +1,9 @@
 """The lint engine: discovery, suppression, rule dispatch.
 
 The engine walks the requested paths, parses every Python file once,
-builds the cross-file :class:`~repro.lint.context.ProjectContext`, runs
-each registered rule over the files it is scoped to, and folds inline
-suppressions into the result.
+runs each registered rule over the files it is scoped to, and folds
+inline suppressions into the result. It is a per-file pass: a file is
+judged from its own source alone, and no file outside ``paths`` is read.
 
 Suppression syntax (checked, not free-form)::
 
@@ -32,9 +32,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext
 from repro.lint.findings import Finding, Severity
-from repro.lint.registry import Rule, all_rules, register
+from repro.lint.registry import Rule, all_rules, no_findings, register
 
 #: Matches one suppression comment; the ids group is None for a bare
 #: ``lint-ok`` (which is malformed — ids are mandatory).
@@ -43,20 +43,13 @@ _SUPPRESS_RE = re.compile(r"#\s*repro:\s*lint-ok(?:\[(?P<ids>[^\]]*)\])?")
 _SKIP_DIR_PARTS = {"__pycache__", ".git", ".hypothesis", "build", "dist"}
 
 
-def _no_findings(
-    ctx: FileContext, project: ProjectContext
-) -> Iterable[tuple[int, int, str]]:
-    """Placeholder check for engine-emitted pseudo-rules."""
-    return ()
-
-
 LINT000 = register(Rule(
     rule_id="LINT000",
     name="bare-suppression",
     description="every lint-ok suppression must name the rule id(s) it waives",
     severity=Severity.ERROR,
     scopes=(),
-    check=_no_findings,
+    check=no_findings,
 ))
 
 LINT999 = register(Rule(
@@ -65,7 +58,7 @@ LINT999 = register(Rule(
     description="file could not be parsed as Python",
     severity=Severity.ERROR,
     scopes=(),
-    check=_no_findings,
+    check=no_findings,
 ))
 
 
@@ -108,17 +101,6 @@ def discover_files(paths: Sequence[str | Path]) -> list[Path]:
             seen.add(key)
             out.append(path)
     return out
-
-
-def _package_root(path: Path) -> Path | None:
-    """Topmost package dir named ``repro`` containing ``path``, if any."""
-    best: Path | None = None
-    current = path.resolve().parent
-    while (current / "__init__.py").is_file():
-        if current.name == "repro":
-            best = current
-        current = current.parent
-    return best
 
 
 def _load_file(path: Path) -> tuple[FileContext | None, Finding | None]:
@@ -192,10 +174,6 @@ def lint(
         ignore: rule ids to drop (wins over ``select``).
         extra_findings: pre-computed findings (the CODE_VERSION guard)
             folded through the same selection and sorting as rule output.
-
-    Cross-file rules see the whole ``repro`` package of any linted file
-    as analysis context, so linting a single changed file (pre-commit)
-    reaches the same verdicts as linting the full tree.
     """
     selected = set(select) if select is not None else None
     ignored = set(ignore) if ignore is not None else set()
@@ -221,42 +199,21 @@ def lint(
                          f"known: {', '.join(sorted(rules))}")
 
     result = LintResult()
-    contexts: list[FileContext] = []
+    raw: list[Finding] = [f for f in extra_findings if wanted(f.rule_id)]
     for path in discover_files(paths):
         ctx, parse_error = _load_file(path)
         result.files_checked += 1
         if parse_error is not None:
             if wanted(parse_error.rule_id):
-                result.findings.append(parse_error)
+                raw.append(parse_error)
             continue
         assert ctx is not None
-        contexts.append(ctx)
-
-    # Pull in package siblings as cross-file analysis context.
-    linted_paths = {ctx.path.resolve() for ctx in contexts}
-    context_files: list[FileContext] = []
-    roots_seen: set[Path] = set()
-    for ctx in contexts:
-        root = _package_root(ctx.path)
-        if root is None or root in roots_seen:
-            continue
-        roots_seen.add(root)
-        for sibling in sorted(root.rglob("*.py")):
-            if sibling.resolve() in linted_paths:
-                continue
-            sib_ctx, _ = _load_file(sibling)
-            if sib_ctx is not None:
-                context_files.append(sib_ctx)
-    project = ProjectContext(contexts, context_files)
-
-    raw: list[Finding] = [f for f in extra_findings if wanted(f.rule_id)]
-    for ctx in contexts:
         suppress_map, malformed = _suppressions(ctx)
         raw.extend(f for f in malformed if wanted(f.rule_id))
         for rule in rules.values():
             if not wanted(rule.rule_id) or not rule.applies_to(ctx):
                 continue
-            for line, col, message in rule.check(ctx, project):
+            for line, col, message in rule.check(ctx):
                 finding = Finding(
                     path=str(ctx.path),
                     line=line,
@@ -269,7 +226,6 @@ def lint(
                     result.suppressed.append(finding)
                 else:
                     raw.append(finding)
-    result.findings.extend(raw)
-    result.findings.sort()
+    result.findings = sorted(raw)
     result.suppressed.sort()
     return result

@@ -1,7 +1,7 @@
 """The rule registry.
 
-A rule is a pure function from (file, project) context to raw findings
-plus the metadata the engine needs to scope, filter and report it. Rules
+A rule is a pure function from one file's context to raw findings plus
+the metadata the engine needs to scope, filter and report it. Rules
 self-register at import time via :func:`register`; importing
 :mod:`repro.lint.rules` pulls in every built-in rule module, so the
 registry is fully populated by the time the engine runs.
@@ -16,11 +16,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext
 from repro.lint.findings import Severity
 
 #: A rule callback: yields (line, col, message) for each violation.
-RuleCheck = Callable[[FileContext, ProjectContext], Iterable[tuple[int, int, str]]]
+RuleCheck = Callable[[FileContext], Iterable[tuple[int, int, str]]]
+
+
+def no_findings(ctx: FileContext) -> Iterable[tuple[int, int, str]]:
+    """Check of the rules whose findings do not come from a file's AST:
+    the engine's pseudo-rules and the git-history guards."""
+    return ()
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Rule id namespaces:
 * ``DET00x`` — determinism (:mod:`repro.lint.rules.determinism`)
 * ``UNIT00x`` — unit consistency (:mod:`repro.lint.rules.units`)
 * ``CACHE002`` — CODE_VERSION guard (:mod:`repro.lint.rules.cachekey`)
-* ``OBS00x`` — observability pairing (:mod:`repro.lint.rules.obspairing`)
+* ``OBS002`` — guarded observability emits (:mod:`repro.lint.rules.obspairing`)
 * ``PROTO003`` — serve-protocol version guard (:mod:`repro.lint.rules.protocol`)
 * ``RES00x`` — resource lifecycle (:mod:`repro.lint.rules.resources`)
 * ``CONC003`` — module-level mutable state (:mod:`repro.lint.rules.concurrency`)

@@ -18,18 +18,8 @@ that audit until a perturbation is registered for it.
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.lint.context import FileContext, ProjectContext
 from repro.lint.findings import Severity
-from repro.lint.registry import Rule, register
-
-
-def _no_findings(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
-    return iter(())
-
+from repro.lint.registry import Rule, no_findings, register
 
 #: CACHE002 is registered here so selection and suppression treat it
 #: like any rule; repro.lint.guard produces its findings.
@@ -39,5 +29,5 @@ register(Rule(
     description="CODE_VERSION must be bumped when simulator semantics change",
     severity=Severity.ERROR,
     scopes=(),
-    check=_no_findings,
+    check=no_findings,
 ))

@@ -20,7 +20,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
@@ -52,9 +52,7 @@ def _is_constant_name(name: str) -> bool:
     return bool(bare) and bare == bare.upper()
 
 
-def check_module_mutable_state(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_module_mutable_state(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """CONC003: no lowercase module-level mutable containers."""
     for stmt in ctx.tree.body:
         targets: list[ast.expr] = []

@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
@@ -74,27 +74,20 @@ _NUMPY_SEEDED_CONSTRUCTORS = {
 }
 
 
-def _calls(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[ast.Call, str]]:
-    """Every call in the file with its canonical dotted name.
-
-    Resolution goes through :meth:`ProjectContext.resolve_call` so names
-    imported via package ``__init__`` re-exports are judged by the module
-    that actually defines them, not the alias they were imported under.
-    """
+def _calls(ctx: FileContext) -> Iterator[tuple[ast.Call, str]]:
+    """Every call in the file with the dotted name it resolves to
+    through the file's own import table
+    (:meth:`FileContext.qualified_call_name`)."""
     for node in ast.walk(ctx.tree):
         if isinstance(node, ast.Call):
-            name = project.resolve_call(ctx, node.func)
+            name = ctx.qualified_call_name(node.func)
             if name is not None:
                 yield node, name
 
 
-def check_unseeded_rng(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_unseeded_rng(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """DET001: numpy RNG construction/use without an explicit seed."""
-    for call, name in _calls(ctx, project):
+    for call, name in _calls(ctx):
         if name in _NUMPY_SEEDED_CONSTRUCTORS:
             if not call.args and not call.keywords:
                 yield (call.lineno, call.col_offset,
@@ -109,11 +102,9 @@ def check_unseeded_rng(
                    "seeded Generator (np.random.default_rng(seed)) instead")
 
 
-def check_stdlib_random(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_stdlib_random(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """DET002: stdlib ``random`` global-state RNG in result code."""
-    for call, name in _calls(ctx, project):
+    for call, name in _calls(ctx):
         if not (name == "random" or name.startswith("random.")):
             continue
         if name in _STDLIB_RANDOM_OK and (call.args or call.keywords):
@@ -123,11 +114,9 @@ def check_stdlib_random(
                "np.random.default_rng(seed) (or random.Random(seed)) instead")
 
 
-def check_wall_clock(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_wall_clock(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """DET003: wall-clock reads in result-producing code."""
-    for call, name in _calls(ctx, project):
+    for call, name in _calls(ctx):
         if name in _WALL_CLOCK or name.endswith((".datetime.now", ".datetime.utcnow")):
             yield (call.lineno, call.col_offset,
                    f"{name}() reads the wall clock; simulated time lives on "
@@ -190,9 +179,7 @@ class _SetTracker(ast.NodeVisitor):
         self.generic_visit(node)
 
 
-def check_set_iteration(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_set_iteration(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """DET004: iteration over a bare set in result-producing code."""
     tracker = _SetTracker()
     tracker.visit(ctx.tree)

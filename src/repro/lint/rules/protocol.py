@@ -11,18 +11,8 @@ lint rules (``tests/test_serve.py``).
 
 from __future__ import annotations
 
-from typing import Iterator
-
-from repro.lint.context import FileContext, ProjectContext
 from repro.lint.findings import Severity
-from repro.lint.registry import Rule, register
-
-
-def _no_findings(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
-    return iter(())
-
+from repro.lint.registry import Rule, no_findings, register
 
 #: PROTO003 is registered here for selection/suppression/reporting; its
 #: findings come from repro.lint.guard (git history), not file ASTs.
@@ -32,5 +22,5 @@ register(Rule(
     description="PROTOCOL_VERSION must be bumped when the command set or request fields change",
     severity=Severity.ERROR,
     scopes=(),
-    check=_no_findings,
+    check=no_findings,
 ))

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
@@ -121,9 +121,7 @@ def _attr_closed_in_class(ctx: FileContext, node: ast.Call, attr: str) -> bool:
     return False
 
 
-def check_resource_released(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_resource_released(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """RES001: acquired resources need a with/finally/ownership release."""
     for node in ast.walk(ctx.tree):
         if not isinstance(node, ast.Call):
@@ -182,9 +180,7 @@ def _replaces_in(func: ast.AST, ctx: FileContext) -> bool:
     return False
 
 
-def check_atomic_replace(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_atomic_replace(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """RES002: write-mode opens must go through the atomic-replace idiom."""
     for node in ast.walk(ctx.tree):
         if not (

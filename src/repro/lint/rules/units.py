@@ -21,8 +21,7 @@ from __future__ import annotations
 import ast
 from typing import Iterator
 
-from repro.lint.callgraph import bare_call_name
-from repro.lint.context import FileContext, ProjectContext
+from repro.lint.context import FileContext
 from repro.lint.findings import Severity
 from repro.lint.registry import Rule, register
 
@@ -51,6 +50,16 @@ _QUANTITY_WORDS = {
 
 #: Unit tokens anywhere in a name that satisfy UNIT002.
 _UNIT_TOKENS = set(_SUFFIX_UNITS) | {"fraction", "ratio", "frac", "pct", "percent"}
+
+
+def bare_call_name(node: ast.Call) -> str | None:
+    """The rightmost identifier a call dispatches on (``x.y.z()`` → ``z``)."""
+    func = node.func
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    if isinstance(func, ast.Name):
+        return func.id
+    return None
 
 
 def _name_of(node: ast.expr) -> str | None:
@@ -82,9 +91,7 @@ def _unit_of(node: ast.expr) -> str | None:
     return _SUFFIX_UNITS.get(name.rsplit("_", 1)[1].lower())
 
 
-def check_mixed_units(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_mixed_units(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """UNIT001: additive arithmetic or comparison across unit suffixes."""
     for node in ast.walk(ctx.tree):
         pairs: list[tuple[ast.expr, ast.expr]] = []
@@ -126,9 +133,7 @@ def _numeric_literal(node: ast.expr | None) -> bool:
     return False
 
 
-def check_suffixless_quantities(
-    ctx: FileContext, project: ProjectContext
-) -> Iterator[tuple[int, int, str]]:
+def check_suffixless_quantities(ctx: FileContext) -> Iterator[tuple[int, int, str]]:
     """UNIT002: power/time quantity names defaulted to bare numbers."""
 
     def flag(name: str, value: ast.expr | None, node: ast.AST) -> Iterator[tuple[int, int, str]]:

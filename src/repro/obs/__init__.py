@@ -7,7 +7,7 @@ from aggregate counters. This package records them:
 
 * :mod:`repro.obs.events` — typed, timestamped, picklable event records;
 * :mod:`repro.obs.tracelog` — the in-run event sink plus JSONL I/O;
-* :mod:`repro.obs.metrics` — named counters/gauges/timers that policies
+* :mod:`repro.obs.metrics` — named counters and gauges that policies
   and the engine register into (flattened into ``SimulationResult.extras``);
 * :mod:`repro.obs.summary` — per-epoch tables, ASCII timelines and the
   event-vs-result reconciliation used by ``repro trace``.
@@ -36,7 +36,7 @@ from repro.obs.events import (
     event_from_dict,
     event_to_dict,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.tracelog import JsonlWriter, TraceLog, read_jsonl, split_runs, write_jsonl
 
 # The rendering layer pulls in repro.analysis, which imports the
@@ -70,7 +70,6 @@ __all__ = [
     "ServeFaultInjected",
     "ServeGoalChanged",
     "SpeedTransition",
-    "Timer",
     "TraceEvent",
     "TraceLog",
     "event_from_dict",

@@ -164,6 +164,21 @@ class SpeedTransition(TraceEvent):
 
 @_register
 @dataclass(frozen=True)
+class PdcPeriod(TraceEvent):
+    """One PDC re-ranking period closed (counts toward ``pdc_periods``).
+
+    Emitted at every period boundary, including one whose plan is empty
+    because the layout already matches the ranking.
+    """
+
+    #: Moves in the period's concentration plan.
+    planned_moves: int
+
+    kind: ClassVar[str] = "pdc_period"
+
+
+@_register
+@dataclass(frozen=True)
 class MigrationPlanned(TraceEvent):
     """A migration plan started executing."""
 

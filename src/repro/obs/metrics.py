@@ -1,4 +1,4 @@
-"""Named counters, gauges and timers for run metrics.
+"""Named counters and gauges for run metrics.
 
 The registry replaces the ad-hoc ``extras`` dict plumbing: instead of
 every policy assembling its own dict at the end of a run, components
@@ -13,11 +13,7 @@ Instrument types:
 * :class:`Counter` — monotonically increasing count (epochs seen,
   boosts entered);
 * :class:`Gauge` — last-write-wins value (final deficit, final epoch
-  length);
-* :class:`Timer` — accumulated duration plus an observation count
-  (wall-clock spent simulating). Flattens to its total seconds only, so
-  a timer and a gauge with the same name are interchangeable in the
-  exported extras.
+  length, wall-clock spent simulating).
 
 Names must be unique across instrument types; asking for an existing
 name with a different type is a bug and raises.
@@ -57,29 +53,8 @@ class Gauge:
         self.value = float(value)
 
 
-class Timer:
-    """Accumulated duration; flattens to total seconds."""
-
-    __slots__ = ("name", "total", "count")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.total = 0.0
-        self.count = 0
-
-    def observe(self, seconds: float) -> None:
-        if seconds < 0:
-            raise ValueError(f"timer {self.name!r} observed negative duration {seconds}")
-        self.total += seconds
-        self.count += 1
-
-    @property
-    def value(self) -> float:
-        return self.total
-
-
 #: Constrained so ``_get`` returns exactly the instrument type asked for.
-_InstrumentT = TypeVar("_InstrumentT", Counter, Gauge, Timer)
+_InstrumentT = TypeVar("_InstrumentT", Counter, Gauge)
 
 
 class MetricsRegistry:
@@ -93,7 +68,7 @@ class MetricsRegistry:
     __slots__ = ("_instruments",)
 
     def __init__(self) -> None:
-        self._instruments: dict[str, Counter | Gauge | Timer] = {}
+        self._instruments: dict[str, Counter | Gauge] = {}
 
     def _get(self, name: str, cls: type[_InstrumentT]) -> _InstrumentT:
         existing = self._instruments.get(name)
@@ -114,9 +89,6 @@ class MetricsRegistry:
     def gauge(self, name: str) -> Gauge:
         return self._get(name, Gauge)
 
-    def timer(self, name: str) -> Timer:
-        return self._get(name, Timer)
-
     def __contains__(self, name: str) -> bool:
         return name in self._instruments
 
@@ -130,23 +102,20 @@ class MetricsRegistry:
         """Flatten every instrument to ``{name: value}``, sorted by name."""
         return {name: self._instruments[name].value for name in sorted(self._instruments)}
 
-    def snapshot(self) -> dict[str, dict[str, float | int | str | None]]:
+    def snapshot(self) -> dict[str, dict[str, float | str | None]]:
         """Typed view of every instrument, sorted by name.
 
         The serve daemon's ``status`` payload: unlike :meth:`as_dict`
-        this keeps the instrument type (and a timer's observation count)
-        so a dashboard can render counters and gauges differently.
-        Values are JSON-strict: non-finite floats become None.
+        this keeps the instrument type so a dashboard can render
+        counters and gauges differently. Values are JSON-strict:
+        non-finite floats become None.
         """
-        out: dict[str, dict[str, float | int | str | None]] = {}
+        out: dict[str, dict[str, float | str | None]] = {}
         for name in sorted(self._instruments):
             instrument = self._instruments[name]
             value = instrument.value
-            entry: dict[str, float | int | str | None] = {
+            out[name] = {
                 "type": type(instrument).__name__.lower(),
                 "value": value if math.isfinite(value) else None,
             }
-            if isinstance(instrument, Timer):
-                entry["count"] = instrument.count
-            out[name] = entry
         return out

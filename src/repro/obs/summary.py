@@ -8,9 +8,11 @@ event stream accounts for every reported counter.
 :func:`reconcile` is the load-bearing piece: it recomputes
 ``boost_seconds``, ``spinups``, ``speed_changes``, ``migration_extents``
 and ``failed_requests`` purely from the events and compares them against
-the ``run_end`` record. A mismatch means an emit site is missing or an
-accounting bug crept in — exactly the class of error this layer exists
-to localize.
+the ``run_end`` record. It also recomputes every policy counter
+(``epochs``, ``infeasible_epochs``, ``planned_moves``, ``boosts``,
+``disk_failures``, ``pdc_periods``), which the tests hold equal to the
+registry's. A mismatch means an emit site is missing or an accounting
+bug crept in — exactly the class of error this layer exists to localize.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ from repro.analysis.report import format_kv, format_table
 from repro.obs.events import (
     BoostEnter,
     BoostExit,
+    DiskFailed,
     EpochBoundary,
     MigrationMove,
+    PdcPeriod,
     RequestFailed,
     RunEnd,
     RunStart,
@@ -38,13 +42,19 @@ def reconcile(events: Sequence[TraceEvent]) -> dict[str, float]:
     Returns ``spinups``, ``speed_changes``, ``migration_extents``,
     ``failed_requests``, ``boosts`` and ``boost_seconds`` (an open boost
     is closed at the ``run_end`` time, or at the last event's time when
-    the trace was truncated), plus ``epochs``.
+    the trace was truncated), plus one entry per policy counter:
+    ``epochs``, ``infeasible_epochs`` and ``planned_moves`` from the
+    epoch events, ``disk_failures`` and ``pdc_periods``.
     """
     spinups = 0
     speed_changes = 0
     migration_extents = 0
     failed = 0
     epochs = 0
+    infeasible_epochs = 0
+    planned_moves = 0
+    disk_failures = 0
+    pdc_periods = 0
     boosts = 0
     boost_seconds = 0.0
     boost_open: float | None = None
@@ -61,6 +71,13 @@ def reconcile(events: Sequence[TraceEvent]) -> dict[str, float]:
             failed += 1
         elif isinstance(event, EpochBoundary):
             epochs += 1
+            if not event.feasible:
+                infeasible_epochs += 1
+            planned_moves += event.planned_moves
+        elif isinstance(event, DiskFailed):
+            disk_failures += 1
+        elif isinstance(event, PdcPeriod):
+            pdc_periods += 1
         elif isinstance(event, BoostEnter):
             boosts += 1
             boost_open = event.time
@@ -78,6 +95,10 @@ def reconcile(events: Sequence[TraceEvent]) -> dict[str, float]:
         "migration_extents": float(migration_extents),
         "failed_requests": float(failed),
         "epochs": float(epochs),
+        "infeasible_epochs": float(infeasible_epochs),
+        "planned_moves": float(planned_moves),
+        "disk_failures": float(disk_failures),
+        "pdc_periods": float(pdc_periods),
         "boosts": float(boosts),
         "boost_seconds": boost_seconds,
     }

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from repro.core.migration import MigrationExecutor, MigrationPlan
 from repro.core.temperature import HeatTracker
+from repro.obs.events import PdcPeriod
 from repro.policies.base import PowerPolicy
 from repro.policies.tpm import IdleSpindownManager, breakeven_seconds
 from repro.sim.request import Request
@@ -67,7 +68,6 @@ class PdcPolicy(PowerPolicy):
         self.heat: HeatTracker | None = None
         self.executor: MigrationExecutor | None = None
         self._manager: IdleSpindownManager | None = None
-        self.periods = 0
 
     def attach(self, sim: "ArraySimulation") -> None:
         super().attach(sim)
@@ -82,7 +82,6 @@ class PdcPolicy(PowerPolicy):
         self._manager = IdleSpindownManager(sim.engine, threshold)
         for disk in array.disks:
             self._manager.manage(disk)
-        self.periods = 0
         self.metrics.counter("pdc_periods")  # registered so the key exists even at 0
         sim.engine.schedule(self.config.period_s, self._period_boundary)
 
@@ -94,9 +93,10 @@ class PdcPolicy(PowerPolicy):
         sim = self.sim
         assert sim is not None and self.heat is not None and self.executor is not None
         self.heat.close_epoch(self.config.period_s)
-        self.periods += 1
         self.metrics.counter("pdc_periods").inc()
         plan = self._plan_concentration()
+        if sim.emit is not None:
+            sim.emit(PdcPeriod(time=sim.engine.now, planned_moves=plan.num_moves))
         if self.executor.active:
             self.executor.cancel()
         if plan.num_moves:

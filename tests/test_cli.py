@@ -243,8 +243,8 @@ def test_run_trace_out_and_render(tmp_path, capsys):
     assert main(["run", "--trace", str(path), "--policy", "hibernator",
                  "--disks", "4", "--epoch", "30",
                  "--trace-out", str(out_path)]) == 0
-    out = capsys.readouterr().out
-    assert f"trace event(s) to {out_path}" in out
+    err = capsys.readouterr().err
+    assert f"trace event(s) to {out_path}" in err
     assert out_path.is_file()
 
     assert main(["trace", str(out_path)]) == 0
@@ -252,6 +252,22 @@ def test_run_trace_out_and_render(tmp_path, capsys):
     assert "epoch decisions" in rendered
     assert "reconciliation" in rendered
     assert "MISMATCH" not in rendered
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_json_stdout_stays_json_with_trace_out(tmp_path, capsys, command):
+    """The --trace-out notice goes to stderr, so --json stdout is one
+    JSON document a pipeline can load."""
+    import json
+
+    path = gen(tmp_path)
+    out_path = tmp_path / "events.jsonl"
+    capsys.readouterr()
+    assert main([command, "--trace", str(path), "--disks", "4", "--epoch", "30",
+                 "--json", "--trace-out", str(out_path)]) == 0
+    captured = capsys.readouterr()
+    assert isinstance(json.loads(captured.out), dict)
+    assert f"trace event(s) to {out_path}" in captured.err
 
 
 def test_compare_trace_out_covers_all_schemes(tmp_path, capsys):

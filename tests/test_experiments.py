@@ -128,7 +128,7 @@ _PINNED_COMPARISON = {
     "Base": "b4e9e5c906e97cc5637186541ba72e7336f72f0c14852177bd4c0550d994d0db",
     "TPM": "8695bc6836503ffdeda241d762c9347f89bd2a46ee29069d44a1ee25817c21ca",
     "DRPM": "f13a2a5378c3c921801e0c3f8801e3cf9b662260a493b32c56c15452ea24d4bf",
-    "PDC": "f3b86580b7dd1540db31f86dfefefe3f13cf53952326ad7ef5fd4060069082f9",
+    "PDC": "7e950fe98ecfb6d0782bf03410acab41fe4cb059caa162ed3697fb55ff54d160",
     "MAID": "d0fa684eb5bd30c0cbcdfb51ad31ad4beb29d3dcdcb13de68d8d47e3d3f0e6b6",
     "Hibernator": "dd32b3bd6efcfb842dd25bc5b3fc542ed2e2d68468dba7b3701e57fd3f65bb41",
 }

@@ -115,6 +115,26 @@ class TestSelection:
         assert finding.line == 5
         assert "cannot parse" in finding.message
 
+    def test_reads_only_the_files_it_is_given(self, tmp_path, monkeypatch):
+        """Lint is a per-file pass: linting one module of a ``repro``
+        package tree (the pre-commit path) reads that file, no sibling."""
+        package = tmp_path / "src" / "repro"
+        (package / "sim").mkdir(parents=True)
+        for rel in ("__init__.py", "sim/__init__.py", "sim/other.py"):
+            (package / rel).write_text("x = 1\n")
+        target = _write(package / "sim", "y = 2\n", "runner.py")
+        read: list[Path] = []
+        read_text = Path.read_text
+
+        def recording_read_text(self, *args, **kwargs):
+            read.append(self)
+            return read_text(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "read_text", recording_read_text)
+        result = lint([target])
+        assert result.files_checked == 1
+        assert read == [target]
+
 
 class TestReporters:
     def test_json_schema_stability(self, tmp_path):
@@ -148,7 +168,7 @@ class TestReporters:
         rules = all_rules()
         assert set(rules) == {
             "DET001", "DET002", "DET003", "DET004", "UNIT001", "UNIT002",
-            "CACHE002", "OBS001", "OBS002", "PROTO003",
+            "CACHE002", "OBS002", "PROTO003",
             "RES001", "RES002", "CONC003", "LINT000", "LINT999"}
         assert all(rule.description for rule in rules.values())
 
@@ -299,9 +319,8 @@ def test_tree_is_lint_clean():
 
 
 def test_code_version_was_bumped_for_this_change():
-    """The engine has one kind of event and the idle spin-down timer
-    checks an arm count when it fires instead of being cancelled. Every
-    result is byte-identical (only the runtime event count now includes
-    superseded timers), but semantics-bearing modules under sim/, disks/
-    and policies/ changed, so the guard demands a bump."""
-    assert CODE_VERSION == "2026.08-13"
+    """PDC emits a ``pdc_period`` event at every period boundary, so an
+    observed PDC run's events (and its digest) change; unobserved
+    results are byte-identical. policies/pdc.py is semantics-bearing,
+    so the guard demands a bump."""
+    assert CODE_VERSION == "2026.08-14"

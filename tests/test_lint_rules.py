@@ -20,15 +20,12 @@ from repro.lint import check_protocol_version_bump, lint
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 
 RULES = ["DET001", "DET002", "DET003", "DET004",
-         "UNIT001", "UNIT002", "OBS001", "OBS002",
+         "UNIT001", "UNIT002", "OBS002",
          "RES001", "RES002", "CONC003"]
 
 
 def _findings(filename: str, rule_id: str):
-    # One file per lint() call: cross-file analyses (OBS001) must not
-    # see the compliant twin while judging the bad fixture.
-    result = lint([FIXTURES / filename], select=[rule_id])
-    return result
+    return lint([FIXTURES / filename], select=[rule_id])
 
 
 @pytest.mark.parametrize("rule_id", RULES)
@@ -51,7 +48,7 @@ def test_expected_bad_fixture_counts():
     (weaker *or* stronger matching) surface as a diff here."""
     expected = {
         "DET001": 3, "DET002": 2, "DET003": 3, "DET004": 3,
-        "UNIT001": 3, "UNIT002": 3, "OBS001": 1, "OBS002": 2,
+        "UNIT001": 3, "UNIT002": 3, "OBS002": 2,
         "RES001": 3, "RES002": 2,
         "CONC003": 3,
     }

@@ -7,7 +7,8 @@ Three properties matter and are pinned here:
    simulator, and no event objects at all;
 2. **exactness** — the event stream reconciles exactly with the
    counters the result reports (spinups, speed changes, migrated
-   extents, boost seconds, failures), for any policy, at any ``jobs``;
+   extents, boost seconds, failures) and with every policy counter,
+   for any policy, at any ``jobs``;
 3. **portability** — events survive dict/JSONL round-trips, pickling
    (parallel workers, the result cache), and concatenation of many
    runs into one file.
@@ -15,29 +16,35 @@ Three properties matter and are pinned here:
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import pickle
 
 import pytest
 
 from repro.analysis.experiments import run_comparison, run_single
+from repro.analysis.parallel import POLICY_FACTORIES, PolicySpec, RunSpec, TraceSpec
 from repro.core.hibernator import HibernatorConfig, HibernatorPolicy
+from repro.faults.plan import DiskFailure, FaultPlan, TransientFault
 from repro.obs.events import (
     EVENT_TYPES,
     BoostEnter,
     BoostExit,
     EpochBoundary,
     MigrationMove,
+    MigrationPlanned,
     RunEnd,
     RunStart,
     SpeedTransition,
     event_from_dict,
     event_to_dict,
 )
-from repro.obs.metrics import Counter, Gauge, MetricsRegistry, Timer
+from repro.obs.metrics import Counter, Gauge, MetricsRegistry
 from repro.obs.summary import reconcile, render_run, render_runs
 from repro.obs.tracelog import TraceLog, read_jsonl, split_runs, write_jsonl
+from repro.perf.scenarios import golden_specs
 from repro.policies.always_on import AlwaysOnPolicy
+from repro.sim.runner import ArraySimulation, SimulationResult
 from tests.conftest import poisson_trace
 
 
@@ -47,11 +54,77 @@ def observed_hibernator_run(small_config, goal_s=0.2, seed=11):
     return run_single(trace, small_config, policy, goal_s=goal_s, observe=True)
 
 
+#: Periods short enough that every policy's control loop fires inside
+#: the two-minute reconciliation trace (the defaults are an hour).
+_RECONCILE_PARAMS = {
+    "hibernator": {"epoch_seconds": 30.0},
+    "pdc": {"period_s": 30.0},
+    "oracle": {"epoch_seconds": 30.0},
+}
+
+#: One whole-disk failure plus a transient error window.
+_RECONCILE_FAULTS = FaultPlan(
+    disk_failures=(DiskFailure(time_s=45.0, disk=1),),
+    transient_faults=(TransientFault(start_s=20.0, end_s=60.0, probability=0.05),),
+)
+
+#: Every counter the policies register; each must be non-zero in at
+#: least one of the runs below.
+_POLICY_COUNTERS = {"epochs", "infeasible_epochs", "planned_moves", "boosts",
+                    "disk_failures", "pdc_periods"}
+
+
+def _finished_simulation(spec: RunSpec) -> tuple[ArraySimulation, SimulationResult]:
+    """Run ``spec`` as ``run_spec`` does, keeping the simulation so its
+    registries (and its policy's) can be read afterwards."""
+    trace = spec.trace.build()
+    policy, array_config = spec.policy.build(trace, spec.array)
+    sim = ArraySimulation(
+        trace=trace, array_config=array_config, policy=policy,
+        goal_s=spec.goal_s, window_s=spec.window_s,
+        keep_latency_samples=spec.keep_latency_samples,
+        observe=spec.observe, faults=spec.faults,
+    )
+    return sim, sim.run()
+
+
+def _reconciliation_runs(small_config):
+    """(label, simulation, result) for every run the counter
+    reconciliation covers, each observed."""
+    trace = TraceSpec.from_trace(poisson_trace(rate=30.0, duration=120.0, seed=11))
+    # At a 12 ms goal Hibernator migrates, and boosts once the failure
+    # slows the array down.
+    for name in POLICY_FACTORIES:
+        policy = PolicySpec.named(name, **_RECONCILE_PARAMS.get(name, {}))
+        for faults in (None, _RECONCILE_FAULTS):
+            spec = RunSpec(trace=trace, array=small_config, policy=policy,
+                           goal_s=0.012, observe=True, faults=faults)
+            yield (name if faults is None else f"{name}+faults",
+                   *_finished_simulation(spec))
+    # At 5 ms no configuration is predicted to meet the goal.
+    infeasible = RunSpec(trace=trace, array=small_config,
+                         policy=PolicySpec.named("hibernator", epoch_seconds=30.0),
+                         goal_s=0.005, observe=True)
+    yield ("hibernator-infeasible", *_finished_simulation(infeasible))
+    yield ("golden-observed", *_finished_simulation(golden_specs()["golden-observed"]))
+    # PDC's periods outlast its migrations here: once the hot set sits
+    # on disk 0, a period plans no moves and starts no migration.
+    pdc = RunSpec(
+        trace=TraceSpec.from_trace(poisson_trace(
+            rate=15.0, duration=600.0, num_extents=80, zipf_theta=2.5, seed=11)),
+        array=dataclasses.replace(small_config, slots_override=80),
+        policy=PolicySpec.named("pdc", period_s=100.0, max_moves_per_period=200,
+                                spindown_threshold_s=30.0),
+        observe=True,
+    )
+    yield ("pdc-empty-periods", *_finished_simulation(pdc))
+
+
 class TestEvents:
     def test_registry_covers_all_kinds(self):
         expected = {
             "run_start", "run_end", "epoch", "boost_enter", "boost_exit",
-            "speed_transition", "migration_planned", "migration_move",
+            "speed_transition", "pdc_period", "migration_planned", "migration_move",
             "migration_cancelled", "request_failed",
         }
         assert expected <= set(EVENT_TYPES)
@@ -236,32 +309,22 @@ class TestMetricsRegistry:
         g.set(2.5)
         assert g.value == 2.5
 
-    def test_timer_totals(self):
-        t = Timer("t")
-        t.observe(1.5)
-        t.observe(0.5)
-        assert t.value == pytest.approx(2.0)
-
     def test_as_dict_sorted_plain_floats(self):
         reg = MetricsRegistry()
         reg.gauge("b").set(1.0)
         reg.counter("a").inc()
-        reg.timer("c").observe(0.25)
         flat = reg.as_dict()
-        assert list(flat) == ["a", "b", "c"]
-        assert flat == {"a": 1.0, "b": 1.0, "c": 0.25}
+        assert list(flat) == ["a", "b"]
+        assert flat == {"a": 1.0, "b": 1.0}
         assert all(type(v) is float for v in flat.values())
 
     def test_snapshot_types_and_nan_null(self):
         reg = MetricsRegistry()
         reg.counter("hits").inc(3.0)
         reg.gauge("window_mean").set(float("nan"))
-        timer = reg.timer("svc")
-        timer.observe(0.5)
         snap = reg.snapshot()
         assert snap["hits"] == {"type": "counter", "value": 3.0}
         assert snap["window_mean"] == {"type": "gauge", "value": None}
-        assert snap["svc"]["type"] == "timer" and snap["svc"]["count"] == 1
         # The whole snapshot must survive strict JSON encoding.
         import json
 
@@ -301,16 +364,44 @@ class TestObservedRuns:
         assert first.events == again.events  # fully deterministic
 
     def test_reconciles_with_result_counters(self, small_config):
-        result = observed_hibernator_run(small_config)
-        derived = reconcile(result.events)
-        assert derived["spinups"] == result.spinups
-        assert derived["speed_changes"] == result.speed_changes
-        assert derived["migration_extents"] == result.migration_extents
-        assert derived["failed_requests"] == result.failed_requests
-        assert derived["boost_seconds"] == pytest.approx(
-            result.extras.get("boost_seconds", 0.0))
-        assert derived["epochs"] == result.extras["epochs"]
-        assert derived["boosts"] == result.extras.get("boosts", 0.0)
+        """Every counter the simulation or its policy registers equals
+        the count reconcile() derives from the run's events: each named
+        policy with and without faults, the observed golden run, and a
+        PDC run with empty periods. A counter reconcile() has no entry
+        for fails, so no counter ships without the events behind it."""
+        problems: list[str] = []
+        exercised: set[str] = set()
+        results = {}
+        for label, sim, result in _reconciliation_runs(small_config):
+            results[label] = result
+            derived = reconcile(result.events)
+            for key in ("spinups", "speed_changes", "migration_extents",
+                        "failed_requests"):
+                if derived[key] != getattr(result, key):
+                    problems.append(f"{label}: {key} {getattr(result, key)} "
+                                    f"reported, {derived[key]:g} from events")
+            if derived["boost_seconds"] != pytest.approx(
+                    result.extras.get("boost_seconds", 0.0)):
+                problems.append(f"{label}: boost_seconds disagrees with events")
+            for registry in (sim.metrics, sim.policy.metrics):
+                for name, entry in registry.snapshot().items():
+                    if entry["type"] != "counter":
+                        continue
+                    if entry["value"]:
+                        exercised.add(name)
+                    if name not in derived:
+                        problems.append(f"{label}: counter {name!r} has no "
+                                        "reconcile() entry")
+                    elif derived[name] != entry["value"]:
+                        problems.append(f"{label}: {name} counted "
+                                        f"{entry['value']:g}, events give "
+                                        f"{derived[name]:g}")
+        assert not problems, "\n".join(problems)
+        assert _POLICY_COUNTERS <= exercised
+        # The empty periods are there: more periods than migration plans.
+        pdc = results["pdc-empty-periods"]
+        plans = sum(isinstance(e, MigrationPlanned) for e in pdc.events)
+        assert pdc.extras["pdc_periods"] > plans
 
     def test_run_end_mirrors_result(self, small_config):
         result = observed_hibernator_run(small_config)

@@ -25,8 +25,8 @@ def test_concentrates_popular_data(small_config):
     trace = poisson_trace(rate=40.0, duration=400.0, zipf_theta=1.3, seed=9)
     policy = PdcPolicy(PdcConfig(period_s=100.0, max_moves_per_period=200))
     sim = ArraySimulation(trace, small_config, policy)
-    sim.run()
-    assert policy.periods >= 3
+    result = sim.run()
+    assert result.extras["pdc_periods"] >= 3
     counts = np.bincount(trace.extents, minlength=80)
     hottest = np.argsort(-counts)[:10]
     leading = sum(1 for e in hottest if sim.array.extent_map.disk_of(int(e)) == 0)
@@ -49,7 +49,7 @@ def test_respects_move_cap(small_config):
     policy = PdcPolicy(PdcConfig(period_s=100.0, max_moves_per_period=5))
     sim = ArraySimulation(trace, small_config, policy)
     result = sim.run()
-    assert result.migration_extents <= 5 * max(policy.periods, 1)
+    assert result.migration_extents <= 5 * max(result.extras["pdc_periods"], 1)
 
 
 def test_migration_energy_accounted(small_config):

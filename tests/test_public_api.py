@@ -38,7 +38,7 @@ MODULES = [
     "repro.serve.client",
     "repro.lint", "repro.lint.findings", "repro.lint.context",
     "repro.lint.registry", "repro.lint.engine", "repro.lint.reporters",
-    "repro.lint.guard", "repro.lint.callgraph",
+    "repro.lint.guard",
     "repro.lint.rules", "repro.lint.rules.determinism",
     "repro.lint.rules.units", "repro.lint.rules.cachekey",
     "repro.lint.rules.obspairing", "repro.lint.rules.protocol",
