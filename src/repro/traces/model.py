@@ -58,10 +58,15 @@ class Trace:
         ):
             if len(arr) != n:
                 raise ValueError(f"column {label} has {len(arr)} rows, expected {n}")
-        # Validate arrival times here, with the offending index, instead
-        # of letting a bad trace surface mid-replay as a cryptic
-        # SimulationError from Engine.schedule.
+        # Validate every column here, with the offending index, instead of
+        # letting a bad trace surface mid-replay as a cryptic
+        # SimulationError from Engine.schedule, a transfer-size error from
+        # the disk model, or a replay that never ends.
         if n:
+            finite = np.isfinite(times)
+            if not finite.all():
+                i = int(np.argmin(finite))
+                raise ValueError(f"trace times must be finite: times[{i}]={float(times[i]):g}")
             backwards = np.diff(times) < 0
             if backwards.any():
                 i = int(np.argmax(backwards)) + 1
@@ -74,6 +79,14 @@ class Trace:
                 raise ValueError(
                     f"trace times must be non-negative: times[{i}]={float(times[i]):g}"
                 )
+            if offsets.min() < 0:
+                i = int(np.argmax(offsets < 0))
+                raise ValueError(
+                    f"trace offsets must be non-negative: offsets[{i}]={int(offsets[i])}"
+                )
+            if sizes.min() < 1:
+                i = int(np.argmax(sizes < 1))
+                raise ValueError(f"trace sizes must be at least 1: sizes[{i}]={int(sizes[i])}")
         if n and (extents.min() < 0 or extents.max() >= num_extents):
             raise ValueError("trace addresses an extent outside the volume")
         self.name = name

@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import gzip
+from unittest import mock
+
 import numpy as np
 import pytest
 
+import repro.traces.io as trace_io
 from repro.traces.io import TraceFormatError, load_trace, save_trace
 from repro.traces.synthetic import SyntheticConfig, generate_synthetic
 
@@ -150,6 +154,15 @@ def test_bad_num_extents_header_has_context(tmp_path):
     ("0.5,R,one,0,4096", "extent"),
     ("0.5,R,1,nil,4096", "offset"),
     ("0.5,R,1,0,4k", "size"),
+    ("0.5,R,1,0,99999999999999999999", "size does not fit in 64 bits"),
+    # Rows the vectorized pass must refuse, leaving the row parser to name
+    # them. numpy truncates to the field width: a 1-character kind would
+    # read RR as R.
+    ("0.5,RR,1,0,4096", "kind must be R or W, got 'RR'"),
+    # numpy's fixed-width strings drop trailing NULs: R\0 would read as R.
+    ("0.5,R\0,1,0,4096", r"kind must be R or W, got 'R\\x00'"),
+    # numpy strips \x1c-\x1f around a number as whitespace; int() does not.
+    ("0.5,R,1,0,\x1c4096", r"size is not an integer: '\\x1c4096'"),
 ])
 def test_bad_numeric_field_has_context(tmp_path, row, label):
     path = tmp_path / "bad.csv"
@@ -218,3 +231,112 @@ def test_roundtrip_property(tmp_path_factory, name, rows, gz):
     assert np.array_equal(loaded.extents, trace.extents)
     assert np.array_equal(loaded.offsets, trace.offsets)
     assert np.array_equal(loaded.sizes, trace.sizes)
+
+
+# -- the vectorized pass against the row parser ------------------------------
+#
+# load_trace parses the body in one numpy pass and hands whatever that pass
+# refuses to the row parser, which defines the format. Patching the pass to
+# refuse everything therefore gives the row parser's answer.
+
+
+def _outcome(path):
+    """``load_trace(path)`` as comparable data: the name, extent count and
+    each column's dtype, contiguity and bytes, or the exception raised."""
+    try:
+        trace = load_trace(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return trace.name, trace.num_extents, [
+        (column.dtype.str, column.flags.c_contiguous, column.tobytes())
+        for column in (trace.times, trace.kinds, trace.extents, trace.offsets, trace.sizes)
+    ]
+
+
+def _row_parser_outcome(path):
+    with mock.patch.object(trace_io, "_parse_columns", lambda fh: None):
+        return _outcome(path)
+
+
+_KIND_TOKENS = ["RR", "RRR", " R", "R ", "r", "w", '"R"', "", "Q", "R\0", "W\0R"]
+_NUMBER_TOKENS = [
+    "1_0", "+1", "\u0663", " 1", "1 ", "\xa01", "1\u2028", "inf", "-inf", "nan", "1e400",
+    "1.0", "1e3", "-1", "0", "-0", "-0.0", "0x10", "", " ", "5\0", '"5"', "R",
+    "\x1c1", "1\x1f", "\x0c1", "1\x85", "\u0968",
+    "99999999999999999999", "9223372036854775807", "9223372036854775808",
+    "-9223372036854775809",
+]
+
+
+@st.composite
+def _trace_files(draw):
+    """A native trace file's bytes: canonical rows mixed with adversarial
+    tokens, in a varied layout."""
+    bad_percent = draw(st.sampled_from([0, 3, 25]))
+    lines = ["# repro-trace v1 name=x num_extents=64", "time,kind,extent,offset,size"]
+    time_s = 0.0
+    for _ in range(draw(st.integers(min_value=0, max_value=8))):
+        time_s += draw(st.sampled_from([0.0, 0.25, 1.5, 1e-9, 1234.5]))
+        fields = [
+            f"{time_s:.9f}",
+            draw(st.sampled_from("RW")),
+            str(draw(st.integers(min_value=0, max_value=63))),
+            str(draw(st.integers(min_value=0, max_value=2**53))),
+            str(draw(st.integers(min_value=1, max_value=2**40))),
+        ]
+        for i in range(5):
+            if draw(st.integers(min_value=0, max_value=99)) < bad_percent:
+                fields[i] = draw(st.sampled_from(_KIND_TOKENS if i == 1 else _NUMBER_TOKENS))
+        if draw(st.integers(min_value=0, max_value=99)) < bad_percent:
+            fields = (fields + ["1"])[:draw(st.integers(min_value=0, max_value=6))]
+        lines.append(",".join(fields))
+        if draw(st.integers(min_value=0, max_value=9)) == 0:
+            lines.append(draw(st.sampled_from(["", "", " ", "\t"])))
+    ends = [draw(st.sampled_from(["\n", "\r\n", "\r"])) for _ in lines]
+    if not draw(st.booleans()):
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_trace_files(), gz=st.booleans())
+def test_vectorized_pass_matches_row_parser(tmp_path_factory, data, gz):
+    """Columns byte for byte with the same dtypes, or the same exception
+    with the same message."""
+    path = tmp_path_factory.mktemp("diff") / ("t.csv.gz" if gz else "t.csv")
+    path.write_bytes(gzip.compress(data) if gz else data)
+    assert _outcome(path) == _row_parser_outcome(path)
+
+
+def test_non_ascii_body_takes_the_row_parser(tmp_path):
+    """numpy's integer parser reads U+0968 (DEVANAGARI DIGIT TWO) as 2360,
+    where int() reads 2; the row parser decides."""
+    path = tmp_path / "digits.csv"
+    path.write_text(
+        "# repro-trace v1 name=x num_extents=4\n"
+        "time,kind,extent,offset,size\n"
+        "0.5,R,\u0968,0,5\n",
+        encoding="utf-8",
+    )
+    assert load_trace(path).extents.tolist() == [2]
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=_names, rows=_rows, gz=st.booleans())
+def test_vectorized_pass_runs(tmp_path_factory, name, rows, gz):
+    """The row parser is a fallback only: every file save_trace writes
+    loads without it, except a header-only one, which numpy refuses."""
+    trace = _build(name, rows)
+    path = tmp_path_factory.mktemp("pass") / ("t.csv.gz" if gz else "t.csv")
+    save_trace(trace, path)
+    with mock.patch.object(trace_io, "_parse_rows", side_effect=AssertionError("row parser ran")):
+        if not rows:
+            with pytest.raises(AssertionError, match="row parser ran"):
+                load_trace(path)
+            return
+        loaded = load_trace(path)
+    assert loaded.name == trace.name
+    assert loaded.num_extents == trace.num_extents
+    assert np.allclose(loaded.times, trace.times, atol=1e-9, rtol=0)
+    for column in ("kinds", "extents", "offsets", "sizes"):
+        assert np.array_equal(getattr(loaded, column), getattr(trace, column))

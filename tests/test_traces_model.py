@@ -134,3 +134,28 @@ def test_columns_are_immutable():
     trace = make_trace([0.0, 1.0])
     with pytest.raises(ValueError):
         trace.times[0] = 5.0
+
+
+@pytest.mark.parametrize("column,values,message", [
+    # NaN replayed as one request with no energy and no end time.
+    ("times", [0.0, float("nan")], r"times must be finite: times\[1\]=nan"),
+    # An infinite arrival kept Hibernator's epoch timer re-arming forever.
+    ("times", [0.0, float("inf")], r"times must be finite: times\[1\]=inf"),
+    ("times", [float("-inf"), 0.0], r"times must be finite: times\[0\]=-inf"),
+    ("offsets", [0, -5], r"offsets must be non-negative: offsets\[1\]=-5"),
+    ("sizes", [4096, 0], r"sizes must be at least 1: sizes\[1\]=0"),
+    # A negative size died mid-replay in the disk model's transfer time.
+    ("sizes", [-5, 4096], r"sizes must be at least 1: sizes\[0\]=-5"),
+], ids=["nan-time", "inf-time", "minus-inf-time", "negative-offset", "zero-size",
+        "negative-size"])
+def test_trace_rejects_values_that_cannot_replay(column, values, message):
+    columns = dict(
+        times=np.array([0.0, 1.0]),
+        kinds=np.zeros(2, dtype=np.int8),
+        extents=np.array([0, 1]),
+        offsets=np.array([0, 512]),
+        sizes=np.array([4096, 4096]),
+    )
+    columns[column] = np.array(values)
+    with pytest.raises(ValueError, match=message):
+        Trace("t", 4, **columns)
